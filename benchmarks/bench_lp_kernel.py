@@ -8,8 +8,7 @@ instances through every LP kernel the repository ships:
 * ``tableau`` — the legacy dense tableau (finite-``lb`` families only),
 * ``dense`` — revised simplex on an explicit dense inverse,
 * ``lu`` — revised simplex on the Markowitz LU + eta file,
-* ``lu-partial`` / ``lu-devex`` — the LU kernel under partial pricing
-  and Devex pricing.
+* ``lu-devex`` — the LU kernel under Devex pricing.
 
 Each (family, kernel) cell reports total pivots, update etas applied,
 refactorizations and wall seconds, and whether every objective matched
@@ -92,7 +91,6 @@ _KERNELS: Sequence[Tuple[str, Callable[[Any], Any]]] = (
     ("tableau", _tableau_kernel),
     ("dense", _revised_kernel("dantzig", "dense")),
     ("lu", _revised_kernel("dantzig", "lu")),
-    ("lu-partial", _revised_kernel("partial", "lu")),
     ("lu-devex", _revised_kernel("devex", "lu")),
 )
 

@@ -6,8 +6,9 @@ DESIGN.md calls out two solver design decisions worth quantifying:
   branch-and-bound solver (the uniqueness rows make each data structure a
   special-ordered set; branching on the whole set settles an entire
   assignment per node), and
-* the **LP relaxation kernel**: SciPy's HiGHS versus the from-scratch dense
-  simplex (the pure-Python path a user without SciPy gets).
+* the **LP relaxation kernel**: the revised simplex (the default) versus
+  the legacy dense tableau (``lp_backend="simplex"``), with HiGHS
+  branch-and-cut as the reference when SciPy is installed.
 
 All backends must reach the same optimal objective; the benchmark records
 their solve times and node counts on a mid-sized Table 3 design point.
@@ -33,11 +34,11 @@ def build_instance():
 
 def solver_matrix():
     solvers = [
-        ("bnb + HiGHS LP + SOS-1 branching",
+        ("bnb + revised simplex + SOS-1 branching",
          lambda: BranchAndBoundSolver(branching="sos1")),
-        ("bnb + HiGHS LP + variable branching",
+        ("bnb + revised simplex + variable branching",
          lambda: BranchAndBoundSolver(branching="variable")),
-        ("bnb + pure simplex + SOS-1 branching",
+        ("bnb + dense tableau + SOS-1 branching",
          lambda: BranchAndBoundSolver(branching="sos1", lp_backend="simplex")),
     ]
     if highs_available():

@@ -18,7 +18,7 @@ Two modes:
 Examples::
 
     python scripts/bench_compare.py --check BENCH_table3.json
-    python scripts/bench_compare.py BENCH_table3_legacy.json BENCH_table3.json
+    python scripts/bench_compare.py BENCH_table3_new.json BENCH_table3.json
     python scripts/bench_compare.py old.json new.json --fail-over 20
 """
 

@@ -25,7 +25,7 @@ Environment knobs honoured by :func:`run_table3`:
     which is how the "explodes for large problems" behaviour shows up
     without stalling the benchmark run.
 ``REPRO_LP_PRICING=<rule>`` / ``REPRO_LP_FACTORIZATION=<mode>``
-    revised-kernel pricing rule (``dantzig``/``partial``/``devex``) and
+    revised-kernel pricing rule (``dantzig``/``devex``) and
     basis representation (``auto``/``dense``/``lu``) for backends that
     run the built-in kernel; backends without the option (e.g.
     ``scipy-milp``) ignore them through the schema filter.

@@ -879,8 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--weights", choices=sorted(_WEIGHT_PRESETS), default="balanced",
                        help="objective weighting preset")
     batch.add_argument("--solver", default=None,
-                       help=f"ILP backend (default: {default_solver_backend()}; "
-                            "see 'repro backends')")
+                       help="ILP backend (default: $REPRO_SOLVER, else scipy-milp "
+                            "when SciPy is installed, else auto; see 'repro backends')")
     batch.add_argument("--time-limit", type=float, default=None,
                        help="per-job wall-clock budget in seconds")
     batch.add_argument("--fast", action="store_true",
@@ -1099,7 +1099,8 @@ def build_parser() -> argparse.ArgumentParser:
     table3.add_argument("--points", type=int, default=None,
                         help="only run the first N design points")
     table3.add_argument("--solver", default=None,
-                        help=f"ILP backend (default: {default_solver_backend()})")
+                        help="ILP backend (default: $REPRO_SOLVER, else scipy-milp "
+                             "when SciPy is installed, else auto)")
     table3.add_argument("--time-limit", type=float, default=None,
                         help="per-solve time limit in seconds")
     table3.add_argument("--skip-complete", action="store_true",

@@ -849,9 +849,8 @@ class GlobalMapper:
         elapsed = time.perf_counter() - start
 
         if context is not None and solution.is_success:
-            # Record the incumbent here, on the caller's thread, so warm
-            # retries work with every backend (scipy-milp and the racing
-            # portfolio never touch the caller's context themselves).
+            # Record the incumbent here, so warm retries work with every
+            # backend (scipy-milp never touches the caller's context).
             context.note_incumbent(solution.values)
 
         if not solution.is_success:

@@ -1,9 +1,10 @@
 """Integer linear programming substrate (the reproduction's CPLEX stand-in).
 
 The package provides a small modelling layer (:class:`Model`,
-:class:`~repro.ilp.expr.LinExpr`, :func:`~repro.ilp.expr.quicksum`), a dense
-two-phase simplex LP solver, a best-first branch-and-bound MILP solver with
-SOS-1 branching and primal heuristics, and optional SciPy/HiGHS backends for
+:class:`~repro.ilp.expr.LinExpr`, :func:`~repro.ilp.expr.quicksum`), a
+revised simplex LP kernel (plus the dense two-phase tableau as its
+reference), a best-first branch-and-bound MILP solver with SOS-1 branching
+and primal heuristics, and an optional SciPy/HiGHS MILP backend for
 cross-checking.
 
 Typical usage::
@@ -44,7 +45,6 @@ from .lns import NEIGHBORHOODS, LnsOptions, LnsResult, certified_gap, lns_search
 from .backends import (
     DEFAULT_BACKEND,
     BackendInfo,
-    PortfolioBackend,
     SolverBackend,
     backend_names,
     create_backend,
@@ -58,7 +58,7 @@ from .revised_simplex import (
     RevisedSimplex,
     solve_lp_revised,
 )
-from .scipy_backend import ScipyMilpSolver, highs_available, solve_lp_highs
+from .scipy_backend import ScipyMilpSolver, highs_available
 from .simplex import SimplexOptions, solve_lp_simplex
 from .solution import (
     ERROR,
@@ -104,7 +104,6 @@ __all__ = [
     # backend registry
     "SolverBackend",
     "BackendInfo",
-    "PortfolioBackend",
     "register_backend",
     "resolve_backend",
     "create_backend",
@@ -113,7 +112,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ScipyMilpSolver",
     "highs_available",
-    "solve_lp_highs",
     "solve_lp_simplex",
     "SimplexOptions",
     "solve_lp_revised",

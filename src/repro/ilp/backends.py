@@ -11,21 +11,14 @@ returning a :class:`repro.ilp.solution.Solution`.
 
 Built-in backends registered on import:
 
-``bnb``
+``bnb-pure`` (the default; aliases ``bnb``, ``branch-and-bound``, ...)
     The from-scratch best-first branch-and-bound solver with SOS-1
-    branching (:class:`repro.ilp.branch_bound.BranchAndBoundSolver`),
-    picking HiGHS for LP relaxations when SciPy is importable.
-``bnb-pure``
-    The same solver pinned to the pure-Python dense simplex LP kernel —
-    zero third-party dependencies.
+    branching (:class:`repro.ilp.branch_bound.BranchAndBoundSolver`) on
+    the pure-Python revised simplex — zero third-party dependencies
+    beyond NumPy.
 ``scipy-milp``
-    The HiGHS branch-and-cut MILP behind ``scipy.optimize.milp``.
-``portfolio``
-    A racing backend: it runs the pure-Python branch-and-bound and the
-    HiGHS MILP concurrently and returns the first proven-optimal result,
-    cancelling the loser.  Mirrors the solver portfolios of modern MIP
-    services — the pure solver wins on small SOS-heavy models, HiGHS on
-    large ones, and the race never does worse than the faster entrant.
+    The HiGHS branch-and-cut MILP behind ``scipy.optimize.milp``; an
+    optional reference that needs SciPy.
 
 Unknown option names are *filtered* against each backend's declared
 schema rather than rejected, so heterogeneous backends can be swapped
@@ -35,14 +28,11 @@ on this to pass ``time_limit`` everywhere).
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import ModelError, SolverError
-from .model import MAXIMIZE, Model
+from .model import Model
 from .scipy_backend import ScipyMilpSolver, highs_available
 from .solution import Solution
 
@@ -57,7 +47,6 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "SolverBackend",
     "BackendInfo",
-    "PortfolioBackend",
     "register_backend",
     "resolve_backend",
     "create_backend",
@@ -67,7 +56,7 @@ __all__ = [
 ]
 
 #: Canonical name used when the caller passes ``None`` or ``"auto"``.
-DEFAULT_BACKEND = "bnb"
+DEFAULT_BACKEND = "bnb-pure"
 
 
 @runtime_checkable
@@ -148,7 +137,7 @@ def create_backend(name: Optional[str] = None, **options) -> SolverBackend:
     """Instantiate a registered backend by (aliased) name.
 
     This is the engine behind :func:`repro.ilp.create_solver`; the old
-    string names (``"auto"``, ``"bnb-pure"``, ``"scipy-milp"``, ...) keep
+    string names (``"auto"``, ``"bnb"``, ``"scipy-milp"``, ...) keep
     resolving unchanged.  Options not in the backend's schema are ignored
     so a single option dictionary can drive heterogeneous backends.
     """
@@ -162,193 +151,14 @@ def create_backend(name: Optional[str] = None, **options) -> SolverBackend:
 
 
 # ---------------------------------------------------------------------------
-# Portfolio backend
-# ---------------------------------------------------------------------------
-
-class PortfolioBackend:
-    """Race several MILP backends; the first proven-optimal result wins.
-
-    Entrants run on a thread pool: the HiGHS MILP releases the GIL inside
-    its C++ core, so it genuinely overlaps with the pure-Python
-    branch-and-bound.  As soon as one entrant proves optimality a stop
-    event is set; the branch-and-bound loop polls it between nodes and
-    exits, while a HiGHS solve simply runs to its own (bounded) limit in
-    the background.  When no entrant reaches optimality the best feasible
-    incumbent is returned, and only if every entrant fails does the
-    portfolio report the first failure.
-    """
-
-    name = "portfolio"
-
-    def __init__(
-        self,
-        time_limit: Optional[float] = None,
-        rel_gap: float = 1e-6,
-        entrants: Optional[Sequence[str]] = None,
-        fix_zero: Optional[Sequence[int]] = None,
-        **bnb_options,
-    ) -> None:
-        self.time_limit = time_limit
-        self.rel_gap = rel_gap
-        self.entrants = tuple(entrants) if entrants is not None else None
-        self.fix_zero = tuple(fix_zero) if fix_zero is not None else None
-        self.bnb_options = dict(bnb_options)
-
-    # ------------------------------------------------------------- entrants
-    def _build_entrants(self, stop: threading.Event) -> List[Tuple[str, SolverBackend]]:
-        from .branch_bound import BranchAndBoundSolver  # local: avoid cycle
-        from .context import SolveContext
-
-        wanted = self.entrants
-        if wanted is None:
-            wanted = ("bnb-pure", "scipy-milp") if highs_available() else ("bnb-pure",)
-        racing = len([w for w in wanted
-                      if w != "scipy-milp" or highs_available()]) > 1
-        entrants: List[Tuple[str, SolverBackend]] = []
-        bnb_seen = False
-        for label in wanted:
-            if label in ("bnb-pure", "bnb"):
-                options = dict(self.bnb_options)
-                if label == "bnb-pure":
-                    options.setdefault("lp_backend", "revised")
-                if bnb_seen:
-                    # A SolveContext is not safe to share between two
-                    # concurrently racing branch-and-bound entrants.
-                    options.pop("context", None)
-                elif racing and options.get("context") is not None:
-                    # A losing racer is abandoned, not joined, so it may
-                    # still be mutating its context after solve() returns
-                    # — never hand a racing thread the caller's context.
-                    # A detached clone keeps the warm start and the
-                    # pseudo-cost knowledge without the race.
-                    options["context"] = SolveContext.from_dict(
-                        options["context"].as_dict()
-                    )
-                bnb_seen = True
-                entrants.append(
-                    (
-                        label,
-                        BranchAndBoundSolver(
-                            time_limit=self.time_limit,
-                            rel_gap=self.rel_gap,
-                            stop_check=stop.is_set,
-                            fix_zero=self.fix_zero,
-                            **options,
-                        ),
-                    )
-                )
-            elif label in ("scipy-milp", "scipy", "highs-milp"):
-                if not highs_available():
-                    continue
-                entrants.append(
-                    (label, ScipyMilpSolver(time_limit=self.time_limit,
-                                            rel_gap=self.rel_gap,
-                                            fix_zero=self.fix_zero))
-                )
-            else:
-                raise ModelError(f"unknown portfolio entrant {label!r}")
-        if not entrants:
-            raise SolverError("portfolio backend has no available entrants")
-        return entrants
-
-    # ----------------------------------------------------------------- solve
-    def solve(self, model: Model) -> Solution:
-        start = time.perf_counter()
-        stop = threading.Event()
-        entrants = self._build_entrants(stop)
-        labels = [label for label, _ in entrants]
-
-        if len(entrants) == 1:
-            label, solver = entrants[0]
-            solution = solver.solve(model)
-            return self._finish(solution, label, labels, start, cancelled=0)
-
-        futures: Dict[Future, str] = {}
-        pool = ThreadPoolExecutor(
-            max_workers=len(entrants), thread_name_prefix="portfolio"
-        )
-        cancelled = 0
-        try:
-            for label, solver in entrants:
-                futures[pool.submit(solver.solve, model)] = label
-
-            finished: List[Tuple[str, Solution]] = []
-            pending = set(futures)
-            winner: Optional[Tuple[str, Solution]] = None
-            while pending and winner is None:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    label = futures[future]
-                    try:
-                        solution = future.result()
-                    except Exception:  # entrant crashed: let the others race on
-                        continue
-                    finished.append((label, solution))
-                    if solution.is_optimal:
-                        winner = (label, solution)
-                        # Cancel the losers *immediately*: cooperative
-                        # entrants poll this event between nodes, so the
-                        # sooner it is set the sooner their thread frees
-                        # the interpreter for the caller.
-                        stop.set()
-                        break
-            stop.set()
-            cancelled = len(pending)
-            if winner is None:
-                for future in pending:
-                    label = futures[future]
-                    try:
-                        finished.append((label, future.result()))
-                    except Exception:
-                        continue
-                cancelled = 0
-        finally:
-            stop.set()
-            # Do NOT join the losers: a HiGHS solve cannot be interrupted
-            # and would otherwise hold the winner hostage until its own
-            # time limit.  The abandoned thread finishes in the background
-            # (bounded by its per-entrant time limit when one is set).
-            pool.shutdown(wait=False, cancel_futures=True)
-
-        if winner is not None:
-            return self._finish(winner[1], winner[0], labels, start,
-                                cancelled=cancelled)
-        feasible = [(lbl, s) for lbl, s in finished if s.is_success]
-        if feasible:
-            # Best incumbent in the *user's* optimisation sense.
-            pick = max if model.sense == MAXIMIZE else min
-            label, solution = pick(feasible, key=lambda pair: pair[1].objective)
-            return self._finish(solution, label, labels, start, cancelled=0)
-        if finished:
-            return self._finish(finished[0][1], finished[0][0], labels, start,
-                                cancelled=0)
-        raise SolverError("every portfolio entrant crashed")
-
-    def _finish(
-        self,
-        solution: Solution,
-        label: str,
-        entrants: List[str],
-        start: float,
-        cancelled: int,
-    ) -> Solution:
-        solution.stats.backend = f"portfolio[{label}:{solution.stats.backend or label}]"
-        solution.stats.wall_time = time.perf_counter() - start
-        solution.stats.extra["portfolio_winner"] = label
-        solution.stats.extra["portfolio_entrants"] = list(entrants)
-        solution.stats.extra["portfolio_cancelled"] = cancelled
-        return solution
-
-
-# ---------------------------------------------------------------------------
 # Built-in registrations
 # ---------------------------------------------------------------------------
 
 _BNB_OPTIONS: Dict[str, str] = {
-    "lp_backend": "LP relaxation kernel: auto, highs, revised or simplex",
+    "lp_backend": "LP relaxation kernel: revised or simplex",
     "simplex_options": "SimplexOptions for the dense tableau kernel",
     "revised_options": "RevisedOptions for the revised simplex kernel",
-    "lp_pricing": "revised-kernel pricing rule: dantzig, partial or devex",
+    "lp_pricing": "revised-kernel pricing rule: dantzig or devex",
     "lp_factorization": "revised-kernel basis representation: auto, dense or lu",
     "reuse_basis": "dual-simplex warm starts from the parent node's basis",
     "branching": "branching strategy: auto, sos1 or variable",
@@ -364,7 +174,6 @@ _BNB_OPTIONS: Dict[str, str] = {
     "gap_limit": "stop once the incumbent is within this relative gap (fast mode)",
     "node_rounding": "try rounding every node relaxation",
     "warm_start": "initial incumbent assignment (variable-indexed vector)",
-    "stop_check": "callable polled between nodes to cancel the solve",
     "presolve": "run the presolve reductions before the tree search",
     "node_presolve": "bound propagation at every node (prunes without LP)",
     "objective_cutoff": "per-node incumbent-cutoff filtering (prunes without LP)",
@@ -380,52 +189,18 @@ def _bnb_factory(**options):
     return BranchAndBoundSolver(**options)
 
 
-def _bnb_pure_factory(**options):
-    from .branch_bound import BranchAndBoundSolver
-
-    options.setdefault("lp_backend", "revised")
-    return BranchAndBoundSolver(**options)
-
-
-def _bnb_tableau_factory(**options):
-    from .branch_bound import BranchAndBoundSolver
-
-    options.setdefault("lp_backend", "simplex")
-    return BranchAndBoundSolver(**options)
-
-
 def _register_builtin_backends() -> None:
     register_backend(BackendInfo(
-        name="bnb",
-        factory=_bnb_factory,
-        description="best-first branch-and-bound with SOS-1 branching "
-                    "(HiGHS LP relaxations when SciPy is present)",
-        capabilities=frozenset({"milp", "sos1-branching", "warm-start",
-                                "time-limit", "node-limit"}),
-        options=_BNB_OPTIONS,
-        aliases=("branch-and-bound",),
-    ))
-    register_backend(BackendInfo(
         name="bnb-pure",
-        factory=_bnb_pure_factory,
-        description="branch-and-bound pinned to the pure-Python revised "
-                    "simplex with dual warm re-solves (no third-party "
-                    "dependencies)",
+        factory=_bnb_factory,
+        description="best-first branch-and-bound with SOS-1 branching on "
+                    "the pure-Python revised simplex with dual warm "
+                    "re-solves (no dependency beyond NumPy)",
         capabilities=frozenset({"milp", "sos1-branching", "warm-start",
                                 "basis-reuse", "time-limit", "node-limit",
                                 "pure-python"}),
         options=_BNB_OPTIONS,
-        aliases=("pure", "simplex"),
-    ))
-    register_backend(BackendInfo(
-        name="bnb-tableau",
-        factory=_bnb_tableau_factory,
-        description="branch-and-bound pinned to the legacy dense "
-                    "two-phase tableau simplex (kernel-ablation baseline)",
-        capabilities=frozenset({"milp", "sos1-branching", "warm-start",
-                                "time-limit", "node-limit", "pure-python"}),
-        options=_BNB_OPTIONS,
-        aliases=("tableau",),
+        aliases=("bnb", "branch-and-bound", "pure", "simplex"),
     ))
     register_backend(BackendInfo(
         name="scipy-milp",
@@ -439,32 +214,6 @@ def _register_builtin_backends() -> None:
         },
         aliases=("scipy", "highs-milp"),
         requires=highs_available,
-    ))
-    register_backend(BackendInfo(
-        name="portfolio",
-        factory=PortfolioBackend,
-        description="race pure-Python branch-and-bound against HiGHS; "
-                    "first proven-optimal result wins",
-        capabilities=frozenset({"milp", "racing", "time-limit"}),
-        options={
-            "time_limit": "wall-clock limit in seconds (applied per entrant)",
-            "rel_gap": "relative optimality gap",
-            "entrants": "sequence of entrant backend names to race",
-            "warm_start": "initial incumbent for the branch-and-bound entrant",
-            "node_limit": "node limit for the branch-and-bound entrant",
-            "fix_zero": "variable indices forced to zero (all entrants)",
-            "presolve": "presolve toggle for the branch-and-bound entrant",
-            "objective_cutoff": "cutoff-filter toggle for the branch-and-bound entrant",
-            "reuse_basis": "basis-reuse toggle for the branch-and-bound entrant",
-            "lp_pricing": "revised-kernel pricing rule for the branch-and-bound entrant",
-            "lp_factorization": "revised-kernel basis representation for the branch-and-bound entrant",
-            "heuristics": "heuristic portfolio mode for the branch-and-bound entrant",
-            "heuristic_freq": "periodic dive interval for the branch-and-bound entrant",
-            "heuristic_seed": "LNS schedule seed for the branch-and-bound entrant",
-            "gap_limit": "fast-mode gap contract for the branch-and-bound entrant",
-            "context": "SolveContext for the branch-and-bound entrant",
-        },
-        aliases=("race",),
     ))
 
 

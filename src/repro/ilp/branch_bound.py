@@ -13,9 +13,9 @@ runs as a three-stage path:
    reduced problem plus a postsolve map back to the full space (often it
    solves the whole model outright on retry solves);
 3. **branch and bound** — the classic LP-relaxation loop over the
-   *reduced* form: solve the node relaxation (HiGHS when available,
-   otherwise the built-in sparse-assembled dense simplex), prune against
-   the incumbent, accept integral relaxations, branch otherwise.
+   *reduced* form: solve the node relaxation with the pure-Python
+   revised simplex (dual warm re-solves from the parent's basis), prune
+   against the incumbent, accept integral relaxations, branch otherwise.
 
 Branching strategies:
 
@@ -42,19 +42,21 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .context import SolveContext
 from .diving import dive, rins_dive
-from .errors import ModelError, SolverError
+from .errors import ModelError
 from .heuristics import round_with_sos, sos_greedy_assignment
 from .lns import LnsOptions, lns_search
 from .model import Model
 from .presolve import Postsolve, presolve as run_presolve, propagate_bounds
 from .revised_simplex import BasisState, RevisedOptions, RevisedSimplex
-from .scipy_backend import highs_available, solve_lp_highs
+# Not called here any more; importable from this module because the
+# traced benchmark run (perfbench/map_corpus.py) wraps it by this name.
+from .scipy_backend import solve_lp_highs  # noqa: F401
 from .simplex import SimplexOptions, solve_lp_simplex
 from .solution import (
     ERROR,
@@ -77,10 +79,9 @@ __all__ = ["BranchAndBoundSolver", "BnBOptions", "create_solver"]
 class BnBOptions:
     """Tuning parameters for :class:`BranchAndBoundSolver`."""
 
-    #: "auto" picks HiGHS when SciPy is importable, otherwise the built-in
-    #: revised simplex; "highs", "revised" and "simplex" (the legacy
-    #: dense tableau) force a specific LP kernel.
-    lp_backend: str = "auto"
+    #: LP relaxation kernel: "revised" (the sparse revised simplex) or
+    #: "simplex" (the legacy dense tableau, kept as the reference oracle).
+    lp_backend: str = "revised"
     #: "auto" uses SOS-1 branching when groups exist; "sos1" requires them;
     #: "variable" always branches on a single fractional variable.
     branching: str = "auto"
@@ -129,18 +130,14 @@ class BnBOptions:
     node_rounding: bool = True
     #: optional warm-start assignment (indexed by variable index).
     warm_start: Optional[np.ndarray] = None
-    #: polled between nodes; returning True stops the solve with the best
-    #: incumbent found so far (used by the portfolio backend to cancel a
-    #: race loser without killing its thread).
-    stop_check: Optional[Callable[[], bool]] = None
     #: per-solve options of the dense tableau kernel (``lp_backend=
     #: "simplex"``); built once per solve instead of per node, so
     #: ``max_iterations``/``tolerance`` are configurable from backends.
     simplex_options: Optional[SimplexOptions] = None
     #: per-solve options of the revised kernel (``lp_backend="revised"``).
     revised_options: Optional[RevisedOptions] = None
-    #: revised-kernel pricing rule override ("dantzig", "partial",
-    #: "devex"); ``None`` keeps the kernel default.  A convenience knob
+    #: revised-kernel pricing rule override ("dantzig", "devex");
+    #: ``None`` keeps the kernel default.  A convenience knob
     #: so backends/serve configs can switch rules without building a full
     #: :class:`RevisedOptions`.
     lp_pricing: Optional[str] = None
@@ -186,9 +183,7 @@ class BranchAndBoundSolver:
         basis: Optional[BasisState] = None,
     ) -> LpResult:
         stats.lp_solves += 1
-        if self._lp_backend == "highs":
-            result = solve_lp_highs(form)
-        elif self._lp_backend == "revised":
+        if self._lp_backend == "revised":
             engine = self._revised_engine(form)
             result = engine.solve(form.lb, form.ub, basis=basis)
             stats.refactorizations += result.refactorizations
@@ -338,14 +333,9 @@ class BranchAndBoundSolver:
         stats = SolveStats()
         context = options.context if options.context is not None else SolveContext()
 
-        if options.lp_backend == "auto":
-            self._lp_backend = "highs" if highs_available() else "revised"
-        elif options.lp_backend in ("highs", "simplex", "revised"):
-            if options.lp_backend == "highs" and not highs_available():
-                raise SolverError("HiGHS LP backend requested but SciPy is missing")
-            self._lp_backend = options.lp_backend
-        else:
+        if options.lp_backend not in ("revised", "simplex"):
             raise ModelError(f"unknown lp_backend {options.lp_backend!r}")
+        self._lp_backend = options.lp_backend
         stats.backend = f"bnb+{self._lp_backend}"
         # Hoisted per-solve LP options: built once here instead of per
         # node, so callers can actually tune ``max_iterations``/
@@ -629,15 +619,10 @@ class BranchAndBoundSolver:
             scoreboard stays comparable across heuristic settings.
             """
             stats.dive_lp_solves += 1
+            result = None
             if self._lp_backend == "revised":
                 result = self._revised_engine(rform).solve(lb, ub, basis=basis)
-                if result.status == ERROR:
-                    result = solve_lp_simplex(
-                        rform.with_bounds(lb, ub), self._simplex_options
-                    )
-            elif self._lp_backend == "highs":
-                result = solve_lp_highs(rform.with_bounds(lb, ub))
-            else:
+            if result is None or result.status == ERROR:
                 result = solve_lp_simplex(
                     rform.with_bounds(lb, ub), self._simplex_options
                 )
@@ -722,8 +707,6 @@ class BranchAndBoundSolver:
         integrality_tol = options.integrality_tol
 
         while queue:
-            if options.stop_check is not None and options.stop_check():
-                return finish(TIMEOUT, incumbent, incumbent_obj, best_bound)
             if options.time_limit is not None and time.perf_counter() - start > options.time_limit:
                 return finish(TIMEOUT, incumbent, incumbent_obj, best_bound)
             if options.node_limit is not None and stats.nodes_explored >= options.node_limit:
@@ -1010,9 +993,8 @@ def create_solver(name: Optional[str] = None, **kwargs):
 
     Thin compatibility wrapper over the pluggable registry of
     :mod:`repro.ilp.backends`: all historic names (``None``/``"auto"``,
-    ``"bnb-pure"``, ``"scipy-milp"``, ...) resolve through
-    :func:`repro.ilp.backends.create_backend`, which also serves the new
-    backends such as ``"portfolio"``.
+    ``"bnb"``, ``"bnb-pure"``, ``"scipy-milp"``, ...) resolve through
+    :func:`repro.ilp.backends.create_backend`.
     """
     from .backends import create_backend  # local import to avoid a cycle
 

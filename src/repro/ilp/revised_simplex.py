@@ -46,9 +46,8 @@ violation of the basic variables with short-step blocking) followed by
 a primal phase 2.
 
 Pricing is selectable (``RevisedOptions.pricing``): classic full
-Dantzig scans, *partial pricing* that cycles a candidate-list window
-over the column blocks and prices only one window per pivot, or a
-primal *Devex* mode using reference-framework weights.  The dual loop
+Dantzig scans or a primal *Devex* mode using reference-framework
+weights.  The dual loop
 has its own optional Devex row weighting (``dual_pricing``).  Every
 rule shares the Bland's-rule anti-cycling fallback after a stall, and
 post-optimality canonicalization always uses the full Dantzig scan so
@@ -87,7 +86,7 @@ _PTOL = 1e-7
 _DTOL = 1e-7
 
 _FACTORIZATIONS = ("auto", "dense", "lu")
-_PRICINGS = ("dantzig", "partial", "devex")
+_PRICINGS = ("dantzig", "devex")
 _DUAL_PRICINGS = ("violation", "devex")
 
 
@@ -125,13 +124,9 @@ class RevisedOptions:
     #: substitution; above it the O(m²) updates dominate).
     lu_threshold: int = 500
     #: primal entering-column rule: ``"dantzig"`` (full most-negative
-    #: scan), ``"partial"`` (candidate-list cycling over column blocks),
-    #: or ``"devex"`` (reference-framework weights).  Anti-cycling and
-    #: canonicalization behave identically under every rule.
+    #: scan) or ``"devex"`` (reference-framework weights).  Anti-cycling
+    #: and canonicalization behave identically under both rules.
     pricing: str = "dantzig"
-    #: partial-pricing window size; ``0`` sizes it automatically
-    #: (``max(32, total/8)``).
-    pricing_block: int = 0
     #: dual leaving-row rule for warm re-solves: ``"violation"``
     #: (largest bound violation) or ``"devex"`` (violation² over
     #: steepest-edge reference weights).
@@ -272,7 +267,6 @@ class RevisedSimplex:
         self._solve_etas_applied = 0
         self._solve_ftran_nnz = 0
         self._solve_btran_nnz = 0
-        self._partial_cursor = 0
         self._devex_w: Optional[np.ndarray] = None
         self._dual_w: Optional[np.ndarray] = None
 
@@ -361,26 +355,6 @@ class RevisedSimplex:
             )
         if self.m:
             d[self.n :] -= y
-        return d
-
-    def _reduced_costs_range(
-        self, costs: np.ndarray, y: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
-        """``costs − yᵀW`` restricted to columns ``[lo, hi)`` (partial pricing)."""
-        d = costs[lo:hi].copy()
-        n = self.n
-        if lo < n:
-            chi = min(hi, n)
-            p0, p1 = int(self._csc_ptr[lo]), int(self._csc_ptr[chi])
-            if p1 > p0:
-                d[: chi - lo] -= np.bincount(
-                    self._csc_cols[p0:p1] - lo,
-                    weights=self._csc_vals[p0:p1] * y[self._csc_rows[p0:p1]],
-                    minlength=chi - lo,
-                )
-        if hi > n:
-            slo = max(lo, n)
-            d[slo - lo :] -= y[slo - n : hi - n]
         return d
 
     # ---------------------------------------------------------- FTRAN / BTRAN
@@ -497,7 +471,6 @@ class RevisedSimplex:
         self._solve_etas_applied = 0
         self._solve_ftran_nnz = 0
         self._solve_btran_nnz = 0
-        self._partial_cursor = 0
         self._devex_w = None
         self._dual_w = None
         self.lower = np.concatenate([np.asarray(lb, dtype=np.float64), self._slack_lower()])
@@ -880,17 +853,10 @@ class RevisedSimplex:
 
         Bland mode and canonicalization face walks always run the full
         scan (termination guarantee / path independence); otherwise the
-        rule is ``dantzig``, ``partial`` (candidate-list cycling), or
-        ``devex`` when a weight frame is active.
+        rule is ``dantzig``, or ``devex`` when a weight frame is active.
         """
         tol = self.options.tolerance
         y = self._btran(costs[self.basis])
-        if (
-            face_costs is None
-            and not bland
-            and self.options.pricing == "partial"
-        ):
-            return self._price_partial(costs, y)
         d = self._reduced_costs(costs, y)
         movable = self.upper - self.lower > tol
         nonbasic = (self.status != BASIC) & movable
@@ -915,43 +881,6 @@ class RevisedSimplex:
         else:
             entering = int(eligible[np.argmax(np.abs(d[eligible]))])
         return entering, (1 if increase[entering] else -1)
-
-    def _price_partial(self, costs: np.ndarray, y: np.ndarray) -> Tuple[int, int]:
-        """Candidate-list partial pricing: cycle column blocks, price one.
-
-        Blocks are fixed contiguous windows; the cursor remembers which
-        window produced the last entering column and resumes there, so a
-        solve sweeps the whole column space only when pickings are slim.
-        Returning ``(-1, 0)`` required pricing *every* window — a full
-        scan's worth of evidence — so optimality claims are as strong as
-        Dantzig's.
-        """
-        tol = self.options.tolerance
-        total = self.total
-        block = self.options.pricing_block
-        if block <= 0:
-            block = max(32, -(-total // 8))
-        nblocks = -(-total // block)
-        for offset in range(nblocks):
-            index = (self._partial_cursor + offset) % nblocks
-            lo = index * block
-            hi = min(total, lo + block)
-            d = self._reduced_costs_range(costs, y, lo, hi)
-            status = self.status[lo:hi]
-            movable = self.upper[lo:hi] - self.lower[lo:hi] > tol
-            nonbasic = (status != BASIC) & movable
-            increase = nonbasic & (
-                ((status == AT_LOWER) | (status == FREE)) & (d < -tol)
-            )
-            decrease = nonbasic & (
-                ((status == AT_UPPER) | (status == FREE)) & (d > tol)
-            )
-            eligible = np.where(increase | decrease)[0]
-            if eligible.size:
-                self._partial_cursor = index
-                local = int(eligible[np.argmax(np.abs(d[eligible]))])
-                return lo + local, (1 if increase[local] else -1)
-        return -1, 0
 
     def _ratio_test(
         self,

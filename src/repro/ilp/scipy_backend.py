@@ -1,22 +1,20 @@
-"""Optional SciPy backends (HiGHS) for LP relaxations and full MILPs.
+"""Optional SciPy backend: the HiGHS MILP and LP solvers as references.
 
-The paper used the commercial CPLEX library; the primary replacement in this
+The paper used the commercial CPLEX library; the replacement in this
 reproduction is the from-scratch branch-and-bound solver in
-:mod:`repro.ilp.branch_bound`.  SciPy's HiGHS bindings are wrapped here for
-two purposes:
+:mod:`repro.ilp.branch_bound`.  SciPy's HiGHS bindings are wrapped here
+only as an independent reference: ``ScipyMilpSolver`` (the
+``scipy-milp`` backend) cross-checks optimal objectives in the tests and
+benchmarks, and :func:`solve_lp_highs` cross-checks LP relaxations.
 
-* as a fast LP-relaxation kernel inside the branch-and-bound loop (the
-  ``"highs"`` LP backend), and
-* as an independent full-MILP solver (``ScipyMilpSolver``) used by the
-  solver-ablation benchmark and by the test suite to cross-check optimal
-  objective values produced by the built-in solver.
-
-Everything degrades gracefully: if SciPy is unavailable the module still
-imports and :func:`highs_available` returns ``False``.
+SciPy is imported on first use, never when :mod:`repro` is imported, so
+the default solve path needs nothing beyond NumPy.  Without SciPy the
+module still imports and :func:`highs_available` returns ``False``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -39,32 +37,35 @@ from .standard_form import StandardForm, to_standard_form
 
 __all__ = ["highs_available", "solve_lp_highs", "ScipyMilpSolver"]
 
-try:  # pragma: no cover - exercised implicitly on import
-    from scipy.optimize import LinearConstraint, linprog, milp
-    from scipy.optimize import Bounds as _Bounds
-    from scipy.sparse import csr_matrix as _scipy_csr
 
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - scipy is installed in the target env
-    _HAVE_SCIPY = False
+@functools.lru_cache(maxsize=None)
+def highs_available() -> bool:
+    """Whether SciPy (and so HiGHS) can be imported in this environment."""
+    try:
+        import scipy.optimize  # noqa: F401
+        import scipy.sparse  # noqa: F401
+    except Exception:
+        return False
+    return True
+
+
+def _require_scipy(what: str) -> None:
+    if not highs_available():
+        raise SolverError(f"SciPy is not available; {what}")
 
 
 def _scipy_matrix(matrix):
     """Hand a CsrMatrix to SciPy without a dense detour."""
-    return _scipy_csr(
-        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
-    )
+    from scipy.sparse import csr_matrix
 
-
-def highs_available() -> bool:
-    """Whether the SciPy/HiGHS backends can be used in this environment."""
-    return _HAVE_SCIPY
+    return csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 def solve_lp_highs(form: StandardForm) -> LpResult:
     """Solve the LP relaxation of ``form`` with ``scipy.optimize.linprog``."""
-    if not _HAVE_SCIPY:  # pragma: no cover - defensive
-        raise SolverError("SciPy is not available; use the simplex backend")
+    _require_scipy("use the simplex backend")
+    from scipy.optimize import linprog
+
     bounds = list(zip(form.lb.tolist(), [None if not np.isfinite(u) else u for u in form.ub]))
     result = linprog(
         c=form.c,
@@ -102,8 +103,9 @@ class ScipyMilpSolver:
     fix_zero: Optional[Sequence[int]] = None
 
     def solve(self, model) -> Solution:
-        if not _HAVE_SCIPY:  # pragma: no cover - defensive
-            raise SolverError("SciPy is not available; use the built-in solver")
+        _require_scipy("use the built-in solver")
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         start = time.perf_counter()
         form = to_standard_form(model)
         if self.fix_zero:
@@ -133,7 +135,7 @@ class ScipyMilpSolver:
             constraints.append(
                 LinearConstraint(_scipy_matrix(form.A_eq_sparse), form.b_eq, form.b_eq)
             )
-        bounds = _Bounds(form.lb, form.ub)
+        bounds = Bounds(form.lb, form.ub)
         options = {"mip_rel_gap": self.rel_gap}
         if self.time_limit is not None:
             options["time_limit"] = float(self.time_limit)

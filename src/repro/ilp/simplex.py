@@ -24,9 +24,9 @@ Implementation notes
   vectorised rank-1 update, following the "vectorise the hot loop" guidance
   of the HPC Python guides.
 
-The built-in branch-and-bound solver uses this engine when the SciPy HiGHS
-backend is unavailable or when a pure-Python run is requested (solver
-ablation benchmarks compare the two).
+The branch-and-bound solver falls back to this engine when the revised
+kernel reports numerical trouble on a node, and runs on it outright under
+``lp_backend="simplex"``; the tests use it as the reference LP oracle.
 """
 
 from __future__ import annotations

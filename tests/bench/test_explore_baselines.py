@@ -4,8 +4,8 @@ A warm-chained exploration of the baseline grid, run in-process today,
 must reproduce the committed artifacts' objectives *byte-identically*
 (repr-equal floats, not approximately) — warm chains and basis reuse may
 only ever change solver effort, never a mapping.  The baselines were
-recorded with SciPy present (solver ``auto`` resolves its LP relaxations
-through HiGHS), so the comparison is gated on the same environment.
+recorded under solver ``auto`` (the pure-Python ``bnb-pure`` tree), which
+needs no SciPy, so the comparison runs in every environment.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.explore import DesignSpaceExplorer, ScenarioGrid
-from repro.ilp import highs_available
 
 ARTIFACT_DIR = Path(__file__).resolve().parents[2] / "bench-artifacts"
 
@@ -26,11 +25,6 @@ BASELINE_SPECS = [
     "image-pipeline@width=128:512:128",
     "random@structures=12,occupancy=0.5:0.8:0.05",
 ]
-
-pytestmark = pytest.mark.skipif(
-    not highs_available(),
-    reason="the committed explore baselines were recorded with SciPy/HiGHS",
-)
 
 
 def _baseline_objectives(name: str):

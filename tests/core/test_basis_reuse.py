@@ -17,11 +17,7 @@ from repro.arch import BankType, Board
 from repro.bench.designpoints import default_design_points
 from repro.core import MemoryMapper
 from repro.engine.cache import result_fingerprint
-from repro.ilp import (
-    BranchAndBoundSolver,
-    SolveContext,
-    highs_available,
-)
+from repro.ilp import BranchAndBoundSolver, SolveContext
 from repro.io.serialize import mapping_result_to_dict
 
 
@@ -46,7 +42,7 @@ def retry_design():
     )
 
 
-BACKENDS = ["bnb-pure"] + (["portfolio"] if highs_available() else [])
+BACKENDS = ["bnb-pure"]
 
 
 class TestFingerprintIdentity:

@@ -56,7 +56,7 @@ class TestFastContract:
         assert fast_obj >= exact_obj - 1e-9
         assert fast_obj <= exact_obj * 1.05 + 1e-9
 
-    @pytest.mark.parametrize("solver", ["bnb-pure", "portfolio"])
+    @pytest.mark.parametrize("solver", ["bnb-pure"])
     def test_parity_across_backends(self, solver):
         # Both contract halves must hold regardless of which exact
         # backend serves as the fast lane's fallback.

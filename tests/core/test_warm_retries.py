@@ -36,7 +36,7 @@ def retry_design() -> Design:
     )
 
 
-BACKENDS = ["bnb-pure"] + (["scipy-milp", "portfolio"] if highs_available() else [])
+BACKENDS = ["bnb-pure"] + (["scipy-milp"] if highs_available() else [])
 
 
 class TestWarmRetryFingerprints:

@@ -1,6 +1,11 @@
-"""Unit tests for the pluggable solver-backend registry and the portfolio."""
+"""Unit tests for the pluggable solver-backend registry and the default path."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -9,7 +14,6 @@ from repro.ilp import (
     BranchAndBoundSolver,
     Model,
     ModelError,
-    PortfolioBackend,
     ScipyMilpSolver,
     SolverBackend,
     backend_names,
@@ -34,31 +38,31 @@ def knapsack_model() -> Model:
 
 
 class TestRegistry:
-    def test_at_least_three_backends_registered(self):
-        assert len(backend_names()) >= 3
-        assert {"bnb", "bnb-pure", "portfolio", "scipy-milp"} <= set(backend_names())
+    def test_registry_holds_exactly_bnb_pure_and_scipy_milp(self):
+        assert backend_names() == ["bnb-pure", "scipy-milp"]
 
     def test_legacy_names_resolve_through_registry(self):
-        assert resolve_backend(None).name == "bnb"
-        assert resolve_backend("auto").name == "bnb"
-        assert resolve_backend("branch-and-bound").name == "bnb"
+        assert resolve_backend(None).name == "bnb-pure"
+        assert resolve_backend("auto").name == "bnb-pure"
+        assert resolve_backend("bnb").name == "bnb-pure"
+        assert resolve_backend("branch-and-bound").name == "bnb-pure"
         assert resolve_backend("pure").name == "bnb-pure"
         assert resolve_backend("simplex").name == "bnb-pure"
         assert resolve_backend("scipy").name == "scipy-milp"
         assert resolve_backend("highs-milp").name == "scipy-milp"
-        assert resolve_backend("race").name == "portfolio"
 
     def test_create_solver_keeps_backward_compatibility(self):
-        assert isinstance(create_solver(None), BranchAndBoundSolver)
-        assert isinstance(create_solver("auto"), BranchAndBoundSolver)
-        pure = create_solver("bnb-pure")
-        assert pure.options.lp_backend == "revised"
+        for name in (None, "auto", "bnb", "bnb-pure"):
+            solver = create_solver(name)
+            assert isinstance(solver, BranchAndBoundSolver)
+            assert solver.options.lp_backend == "revised"
         if highs_available():
             assert isinstance(create_solver("scipy-milp"), ScipyMilpSolver)
 
     def test_unknown_backend_raises_model_error(self):
-        with pytest.raises(ModelError):
-            create_backend("cplex")
+        for name in ("cplex", "portfolio", "race", "bnb-tableau", "tableau"):
+            with pytest.raises(ModelError, match="unknown solver backend"):
+                create_backend(name)
 
     def test_options_filtered_to_backend_schema(self):
         if not highs_available():
@@ -112,81 +116,58 @@ class TestRegistry:
             backends_module._ALIASES.pop("test-custom-bnb")
 
 
-class TestPortfolioBackend:
-    def test_solves_to_optimality(self):
-        solution = PortfolioBackend(time_limit=30).solve(knapsack_model())
-        assert solution.is_optimal
-        assert solution.objective == pytest.approx(-11.0)
-        assert solution.stats.backend.startswith("portfolio[")
-
-    def test_matches_the_individual_entrants(self):
-        portfolio = PortfolioBackend(time_limit=30).solve(knapsack_model())
-        pure = create_backend("bnb-pure").solve(knapsack_model())
-        assert portfolio.objective == pytest.approx(pure.objective)
-        if highs_available():
-            highs = create_backend("scipy-milp").solve(knapsack_model())
-            assert portfolio.objective == pytest.approx(highs.objective)
-
-    def test_single_entrant_degrades_to_direct_solve(self):
-        solution = PortfolioBackend(entrants=["bnb-pure"]).solve(knapsack_model())
-        assert solution.is_optimal
-        assert "bnb-pure" in solution.stats.backend
-
-    def test_unknown_entrant_rejected(self):
-        with pytest.raises(ModelError):
-            PortfolioBackend(entrants=["cplex"]).solve(knapsack_model())
-
-    def test_maximize_models_pick_the_best_incumbent(self):
-        # Knapsack phrased as MAXIMIZE; the portfolio's fallback tie-break
-        # must honour the model's sense, not always take min(objective).
-        model = Model("knapsack-max", sense="max")
-        values = [6, 5, 4, 3, 2]
-        weights = [4, 3, 3, 2, 1]
-        x = [model.add_binary(f"x{i}") for i in range(len(values))]
-        model.add_constraint(quicksum(w * v for w, v in zip(weights, x)) <= 7)
-        model.set_objective(quicksum(v * var for v, var in zip(values, x)))
-        solution = PortfolioBackend(time_limit=30).solve(model)
-        assert solution.is_success
-        assert solution.objective == pytest.approx(11.0)
-
-    def test_registered_and_usable_through_create_solver(self):
-        solution = create_solver("portfolio", time_limit=30).solve(knapsack_model())
-        assert solution.is_optimal
-        assert solution.objective == pytest.approx(-11.0)
-
-    def test_winner_recorded_in_result_metadata(self):
-        solution = PortfolioBackend(time_limit=30).solve(knapsack_model())
-        extra = solution.stats.extra
-        assert extra["portfolio_winner"] in extra["portfolio_entrants"]
-        assert len(extra["portfolio_entrants"]) >= 1
-        assert extra["portfolio_cancelled"] >= 0
-        # The backend string names the same winner.
-        assert extra["portfolio_winner"] in solution.stats.backend
-
-    def test_single_entrant_metadata(self):
-        solution = PortfolioBackend(entrants=["bnb-pure"]).solve(knapsack_model())
-        assert solution.stats.extra["portfolio_winner"] == "bnb-pure"
-        assert solution.stats.extra["portfolio_cancelled"] == 0
-
-    def test_fix_zero_honoured_by_every_entrant(self):
-        # Forbid the best knapsack item; both entrants must respect it.
-        model = knapsack_model()
-        unrestricted = PortfolioBackend(time_limit=30).solve(model)
-        best = int(max(
-            range(model.num_variables),
-            key=lambda i: unrestricted.values[i],
-        ))
-        restricted = PortfolioBackend(time_limit=30, fix_zero=[best]).solve(model)
-        assert restricted.is_optimal
-        assert restricted.values[best] == pytest.approx(0.0, abs=1e-9)
-        assert restricted.objective >= unrestricted.objective - 1e-9
+def _run_isolated(code: str, *, block_scipy: bool, tmp_path) -> str:
+    """Run ``code`` in a fresh interpreter (optionally with SciPy unimportable)."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    paths = [os.path.abspath(src)]
+    if block_scipy:
+        shadow = tmp_path / "scipy"
+        shadow.mkdir()
+        (shadow / "__init__.py").write_text("raise ImportError('scipy blocked')\n")
+        paths.insert(0, str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
-class TestStopCheck:
-    def test_stop_check_cancels_the_solve(self):
-        # A stop check that fires immediately must abort before any node is
-        # explored while still returning cleanly.
-        solver = BranchAndBoundSolver(stop_check=lambda: True, root_heuristic=False)
-        solution = solver.solve(knapsack_model())
-        assert solution.status == "timeout"
-        assert solution.stats.nodes_explored == 0
+class TestDefaultPath:
+    """The default solve path is the pure-Python tree and needs only NumPy."""
+
+    def test_default_map_loads_neither_scipy_nor_networkx(self, tmp_path):
+        out = _run_isolated(
+            """
+            import contextlib, io, sys
+            import repro
+            from repro import MemoryMapper, hierarchical_board, image_pipeline_design
+            from repro.cli import main
+
+            result = MemoryMapper(hierarchical_board()).map(image_pipeline_design())
+            assert result.global_mapping.solver_status == "optimal"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["map", "--board", "hierarchical",
+                             "--design", "image-pipeline"]) == 0
+            print(sorted(m for m in ("scipy", "networkx") if m in sys.modules))
+            """,
+            block_scipy=False, tmp_path=tmp_path,
+        )
+        assert out.strip() == "[]"
+
+    def test_auto_resolves_to_bnb_pure_without_scipy(self, tmp_path):
+        out = _run_isolated(
+            """
+            from repro.ilp import highs_available, resolve_backend
+            from repro import MemoryMapper, hierarchical_board, image_pipeline_design
+
+            assert not highs_available()
+            assert not resolve_backend("scipy-milp").available
+            result = MemoryMapper(hierarchical_board()).map(image_pipeline_design())
+            print(resolve_backend("auto").name, resolve_backend(None).name,
+                  result.global_mapping.solver_status)
+            """,
+            block_scipy=True, tmp_path=tmp_path,
+        )
+        assert out.split() == ["bnb-pure", "bnb-pure", "optimal"]

@@ -174,8 +174,9 @@ class TestLimitsAndWarmStart:
 
     def test_unknown_lp_backend_rejected(self):
         m, _ = knapsack_model([1, 2], [1, 1], 1)
-        with pytest.raises(ModelError):
-            BranchAndBoundSolver(lp_backend="quantum").solve(m)
+        for name in ("quantum", "auto", "highs"):
+            with pytest.raises(ModelError):
+                BranchAndBoundSolver(lp_backend=name).solve(m)
 
 
 class TestCreateSolver:
@@ -187,9 +188,12 @@ class TestCreateSolver:
         solver = create_solver("bnb-pure")
         assert solver.options.lp_backend == "revised"
 
-    def test_tableau_factory_forces_simplex(self):
-        solver = create_solver("bnb-tableau")
+    def test_simplex_kernel_is_an_option_not_a_backend(self):
+        assert BranchAndBoundSolver().options.lp_backend == "revised"
+        solver = create_solver("bnb-pure", lp_backend="simplex")
         assert solver.options.lp_backend == "simplex"
+        with pytest.raises(ModelError):
+            create_solver("bnb-tableau")
 
     @pytest.mark.skipif(not highs_available(), reason="SciPy/HiGHS not installed")
     def test_scipy_factory(self):

@@ -18,10 +18,10 @@ from repro.ilp import (
     SimplexOptions,
     highs_available,
     quicksum,
-    solve_lp_highs,
     solve_lp_simplex,
     to_standard_form,
 )
+from repro.ilp.scipy_backend import solve_lp_highs
 
 pytestmark = pytest.mark.skipif(
     not highs_available(), reason="SciPy/HiGHS is unavailable for cross-checking"

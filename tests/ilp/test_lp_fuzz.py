@@ -6,8 +6,8 @@ instances — mixed ``==``/``<=`` rows, free/fixed/bounded variables,
 degenerate, infeasible, unbounded and large sparse cases — and
 cross-checks the revised simplex against the legacy dense tableau and
 (when SciPy is present) HiGHS.  Statuses must agree exactly; objectives
-to 1e-6.  On top of the kernel cross-check, every pricing rule
-(Dantzig / partial / Devex) and both basis representations (dense
+to 1e-6.  On top of the kernel cross-check, both pricing rules
+(Dantzig / Devex) and both basis representations (dense
 inverse / sparse LU) must agree with each other — the canonicalization
 step pins the final vertex, so even the *solution vectors* are
 compared.  The corpus is a fixed seed list so the suite is
@@ -26,10 +26,10 @@ from repro.ilp import (
     RevisedSimplex,
     SimplexOptions,
     highs_available,
-    solve_lp_highs,
     solve_lp_revised,
     solve_lp_simplex,
 )
+from repro.ilp.scipy_backend import solve_lp_highs
 from repro.ilp.instances import (
     degenerate_lp,
     feasible_box_lp,
@@ -52,12 +52,9 @@ LARGE_SPARSE_SEEDS = (500, 501, 502)
 
 #: every (pricing, factorization) pair the kernel supports, exercised
 #: against the references below.  Devex under both representations,
-#: partial pricing under LU (its motivating combination), Dantzig under
-#: forced LU (the auto default at fuzz sizes is dense).
+#: Dantzig under forced LU (the auto default at fuzz sizes is dense).
 PRICING_VARIANTS = (
     ("dantzig", "lu"),
-    ("partial", "dense"),
-    ("partial", "lu"),
     ("devex", "dense"),
     ("devex", "lu"),
 )
@@ -283,7 +280,7 @@ class TestFuzzWarmEqualsCold:
     @pytest.mark.parametrize("seed", MIXED_VAR_SEEDS[:4])
     def test_dive_chain_on_mixed_variables_lu(self, seed):
         """Same chained-fixing pattern over free/fixed variables on the
-        LU kernel (the representation the portfolio dives actually run)."""
+        LU kernel (the representation the heuristic dives actually run)."""
         form = mixed_variable_lp(seed)
         engine = RevisedSimplex(form, RevisedOptions(factorization="lu"))
         current = engine.solve(form.lb, form.ub)

@@ -9,7 +9,7 @@ module covers what is new in the LU kernel generation:
   triggers disabled, then re-armed one by one),
 * each adaptive refactorization trigger firing for its own reason
   ("interval", "fill", "residual"),
-* partial pricing on a degenerate/stalling LP still terminating through
+* Dantzig pricing on a degenerate/stalling LP still terminating through
   the anti-cycling switch,
 * the eta/nnz counters and the LU ``BasisState`` round-trip.
 """
@@ -166,7 +166,7 @@ class TestNumericalDrift:
         assert result.refactor_triggers.get("interval", 0) >= 1
 
 
-class TestPartialPricingAntiCycling:
+class TestPricingAntiCycling:
     def _stalling_lp(self):
         """Degenerate assignment-style LP that stalls greedy pricing."""
         model = Model("lu-stalling")
@@ -179,14 +179,14 @@ class TestPartialPricingAntiCycling:
         return to_standard_form(model)
 
     @pytest.mark.parametrize("factorization", ["dense", "lu"])
-    def test_partial_pricing_takes_the_bland_switch_and_terminates(
+    def test_dantzig_pricing_takes_the_bland_switch_and_terminates(
         self, factorization
     ):
         form = self._stalling_lp()
         engine = RevisedSimplex(
             form,
             RevisedOptions(
-                pricing="partial", factorization=factorization,
+                pricing="dantzig", factorization=factorization,
                 stall_iterations=0,
             ),
         )

@@ -20,10 +20,10 @@ from repro.ilp import (
     RevisedSimplex,
     highs_available,
     quicksum,
-    solve_lp_highs,
     solve_lp_revised,
     to_standard_form,
 )
+from repro.ilp.scipy_backend import solve_lp_highs
 
 
 def degenerate_transportation_lp():

@@ -12,9 +12,9 @@ from repro.ilp import (
     ScipyMilpSolver,
     highs_available,
     quicksum,
-    solve_lp_highs,
     to_standard_form,
 )
+from repro.ilp.scipy_backend import solve_lp_highs
 
 pytestmark = pytest.mark.skipif(not highs_available(), reason="SciPy/HiGHS not installed")
 

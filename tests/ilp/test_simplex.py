@@ -12,10 +12,10 @@ from repro.ilp import (
     Model,
     SimplexOptions,
     highs_available,
-    solve_lp_highs,
     solve_lp_simplex,
     to_standard_form,
 )
+from repro.ilp.scipy_backend import solve_lp_highs
 
 
 def lp_of(model: Model):

@@ -116,9 +116,16 @@ class TestHttpRoundTrip:
 
     def test_bad_submission_is_400(self, live_server):
         client = ServeClient(live_server.url)
-        with pytest.raises(ServeClientError) as err:
-            client.submit(submission(solver="definitely-not-registered"))
-        assert err.value.status == 400
+        before = client.health().counters["submitted"]
+        for solver in ("definitely-not-registered", "portfolio"):
+            # Refused at admission with a structured error, before any
+            # worker sees the job.
+            with pytest.raises(ServeClientError) as err:
+                client.submit(submission(solver=solver))
+            assert err.value.status == 400
+            assert err.value.code == "BAD_REQUEST"
+            assert f"unknown solver backend {solver!r}" in str(err.value)
+        assert client.health().counters["submitted"] == before
 
     def test_unknown_path_is_404_and_malformed_json_is_400(self, live_server):
         url = live_server.url

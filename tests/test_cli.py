@@ -110,15 +110,16 @@ class TestBackendsCommand:
     def test_lists_registered_backends(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("bnb", "bnb-pure", "scipy-milp", "portfolio"):
+        for name in ("bnb", "bnb-pure", "scipy-milp"):
             assert name in out
+        for removed in ("portfolio", "bnb-tableau"):
+            assert removed not in out
 
-    def test_json_listing_has_at_least_three_backends(self, capsys):
+    def test_json_listing_has_the_two_backends(self, capsys):
         assert main(["backends", "--json"]) == 0
         listing = json.loads(capsys.readouterr().out)
-        assert len(listing) >= 3
-        names = {entry["name"] for entry in listing}
-        assert {"bnb", "bnb-pure", "portfolio"} <= names
+        assert [entry["name"] for entry in listing] == ["bnb-pure", "scipy-milp"]
+        assert "bnb" in listing[0]["aliases"]
         for entry in listing:
             assert "capabilities" in entry and "options" in entry
 
@@ -172,6 +173,10 @@ class TestBatchCommand:
         assert main(["map", "--board", "virtex-xcv1000", "--design", "fir-filter",
                      "--solver", "cplex"]) == 2
         assert "repro backends" in capsys.readouterr().err
+        for removed in ("portfolio", "bnb-tableau"):
+            assert main(["map", "--board", "virtex-xcv1000", "--design",
+                         "fir-filter", "--solver", removed]) == 2
+            assert "unknown solver backend" in capsys.readouterr().err
 
     def test_zero_jobs_is_a_usage_error(self, capsys):
         assert main(["batch", "--sweep", "2", "--jobs", "0"]) == 2
