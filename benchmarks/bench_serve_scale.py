@@ -3,7 +3,7 @@
 
 Boots the replicated serve tier (``repro serve --replicas N``: router +
 replica processes over one shared on-disk cache) as a real subprocess,
-then drives it through four open-loop traffic phases
+then drives it through three open-loop traffic phases
 (:mod:`repro.bench.loadgen`):
 
 1. **steady** — Poisson arrivals, duplicate-heavy mix: exercises
@@ -13,28 +13,23 @@ then drives it through four open-loop traffic phases
    time budget: a different cache key but the same warm-state identity,
    so replicas seed their solves from chain contexts sibling replicas
    exported — the cross-replica warm-reuse path;
-3. **near** — perturbed resends (one structural design edit each, see
-   :func:`repro.bench.loadgen.near_variant`): a different cache key
-   *and* a different warm identity, so the exact warm lookup misses and
-   the similarity index must transplant the nearest neighbor's state —
-   the similarity-keyed warm path;
-4. **burst** — bursty arrivals above the admission budget with a
+3. **burst** — bursty arrivals above the admission budget with a
    low-priority slice: exercises 429 backpressure and 503 shedding.
 
 Afterwards every unique served mapping is recomputed **directly** on an
 in-process :class:`~repro.engine.MappingEngine` (fresh, cache-less) and
 compared fingerprint by fingerprint: the sharded tier changes *where*
-mappings are computed — and similarity transplants change where solves
-*start* — never *what* they produce.  The direct reference jobs are
-derived by re-building each phase's deterministic arrival schedule, so
-near-duplicate designs are covered exactly as served.
+mappings are computed — and warm seeds change where solves *start* —
+never *what* they produce.  The direct reference jobs are derived by
+re-building each phase's deterministic arrival schedule, so they cover
+exactly the submissions served.
 
 The document lands in ``BENCH_serve_scale.json`` (``--artifact-dir``,
 default ``bench-artifacts``); ``scripts/bench_compare.py --check``
 validates it and CI gates on the *deterministic* counters — dedupe
-totals, shard balance, warm reuses, similarity imports, fingerprint
-equality — never on wall time or on the timing-dependent shed/retry
-counts, which are reported for humans only.
+totals, shard balance, warm reuses and imports, fingerprint equality —
+never on wall time or on the timing-dependent shed/retry counts, which
+are reported for humans only.
 
 Usage::
 
@@ -210,10 +205,8 @@ def direct_fingerprints(
     """Admission key -> fingerprint of a direct cache-less engine run.
 
     Candidates are derived by re-building every phase's deterministic
-    arrival schedule, so they cover exactly the submissions the tier saw
-    — including the near phase's perturbed designs, which no static
-    enumeration could produce.  Only keys actually observed on the wire
-    are solved.
+    arrival schedule, so they cover exactly the submissions the tier saw.
+    Only keys actually observed on the wire are solved.
     """
     candidates: Dict[str, MappingJob] = {}
     for config in configs.values():
@@ -295,12 +288,6 @@ def main() -> int:
                 rate=args.rate, arrival="uniform", duplicate_ratio=0.25,
                 seed=args.seed + 1,
             ),
-            "near": LoadgenConfig(
-                url=url, templates=cold,
-                duration_s=max(3.0, args.duration / 2),
-                rate=args.rate, arrival="uniform", duplicate_ratio=0.0,
-                near_duplicate_ratio=0.7, seed=args.seed + 3,
-            ),
             "burst": LoadgenConfig(
                 url=url, templates=cold, duration_s=args.duration,
                 rate=args.rate * 4, arrival="bursty", duplicate_ratio=0.6,
@@ -318,11 +305,6 @@ def main() -> int:
         phases["warm"] = run_loadgen(configs["warm"])
         print(f"[serve-scale] warm: {phases['warm']['completed']}/"
               f"{phases['warm']['scheduled']} done")
-
-        phases["near"] = run_loadgen(configs["near"])
-        print(f"[serve-scale] near: {phases['near']['completed']}/"
-              f"{phases['near']['scheduled']} done, "
-              f"{phases['near']['scheduled_near_duplicates']} near-duplicates")
 
         phases["burst"] = run_loadgen(configs["burst"])
         print(f"[serve-scale] burst: {phases['burst']['completed']} done, "
@@ -373,7 +355,6 @@ def main() -> int:
 
     failures = []
     totals = artifact["totals"]
-    warm_stats = artifact["warm"]
     if teardown_error:
         failures.append(teardown_error)
     if totals["errors"]:
@@ -391,12 +372,6 @@ def main() -> int:
         failures.append("nothing compared against the direct run")
     if totals["deduped"] + totals["cache_hits"] == 0:
         failures.append("duplicate-heavy traffic produced no dedupe at all")
-    if totals.get("scheduled_near_duplicates", 0) == 0:
-        failures.append("near phase scheduled no near-duplicates")
-    if int(warm_stats.get("similar_imports", 0)) == 0:
-        failures.append(
-            "near-duplicate traffic produced no similarity warm imports"
-        )
     if failures:
         for failure in failures:
             print(f"[serve-scale] FAIL: {failure}", file=sys.stderr)

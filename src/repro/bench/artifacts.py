@@ -243,7 +243,6 @@ def serve_scale_artifact(
     for key in (
         "scheduled",
         "scheduled_duplicates",
-        "scheduled_near_duplicates",
         "completed",
         "ok",
         "shed",

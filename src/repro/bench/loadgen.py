@@ -23,7 +23,6 @@ low-priority traffic signed up for.
 
 from __future__ import annotations
 
-import copy
 import random
 import threading
 import time
@@ -38,7 +37,6 @@ from .artifacts import latency_percentiles
 __all__ = [
     "LoadgenConfig",
     "ScheduledArrival",
-    "near_variant",
     "build_schedule",
     "run_loadgen",
 ]
@@ -53,11 +51,6 @@ class ScheduledArrival:
     submission: JobSubmission
     #: The arrival repeats an earlier one verbatim (dedupe pressure).
     duplicate_of: Optional[int] = None
-    #: The arrival is a *perturbed* resend of an earlier one — same board
-    #: and solver knobs, one structural design edit (similarity warm-start
-    #: pressure: a different cache key whose nearest stored neighbor is
-    #: the twin's exported state).
-    near_duplicate_of: Optional[int] = None
 
 
 @dataclass
@@ -77,11 +70,6 @@ class LoadgenConfig:
     burst_period_s: float = 2.0
     #: Fraction of arrivals that resend an earlier submission verbatim.
     duplicate_ratio: float = 0.5
-    #: Fraction of arrivals that resend an earlier submission with one
-    #: structural design edit (see :func:`near_variant`) — the
-    #: near-duplicate mix that exercises the serve tier's
-    #: similarity-keyed warm starts.  Evaluated after the duplicate draw.
-    near_duplicate_ratio: float = 0.0
     #: Fraction of (fresh) arrivals submitted as fast-mode jobs.
     fast_ratio: float = 0.0
     #: Fraction of arrivals submitted at ``low_priority`` (sheddable).
@@ -97,38 +85,6 @@ class LoadgenConfig:
     workers: int = 32
     poll_interval: float = 0.05
     connect_timeout: float = 30.0
-
-
-def near_variant(submission: JobSubmission, index: int) -> JobSubmission:
-    """A deterministic near-duplicate of ``submission``.
-
-    Same board, weights and solver knobs; exactly one structural edit to
-    the design — drop one conflict pair (which one rotates with
-    ``index``), or bump one structure's read count when there is no
-    conflict to drop.  The result has a different cache key and warm
-    identity but a structural signature one row away from the
-    original's, which is the traffic shape the similarity-keyed warm
-    path exists for.  Always submitted in pipeline mode: only exact
-    solves participate in warm seeding.
-    """
-    design = copy.deepcopy(dict(submission.design))
-    conflicts = [list(pair) for pair in design.get("conflicts") or []]
-    if conflicts:
-        drop = index % len(conflicts)
-        design["conflicts"] = conflicts[:drop] + conflicts[drop + 1:]
-    else:
-        structures = [dict(entry) for entry in design.get("data_structures") or []]
-        if structures:
-            victim = index % len(structures)
-            reads = structures[victim].get("reads") or 0
-            structures[victim]["reads"] = int(reads) + 1 + index % 2
-            design["data_structures"] = structures
-    return replace(
-        submission,
-        design=design,
-        mode="pipeline",
-        label=f"lg-{index:04d}-near",
-    )
 
 
 def build_schedule(config: LoadgenConfig) -> List[ScheduledArrival]:
@@ -180,23 +136,6 @@ def build_schedule(config: LoadgenConfig) -> List[ScheduledArrival]:
                 )
             )
             continue
-        # The near draw only consumes randomness when the mix is active,
-        # so schedules without it stay byte-identical across versions.
-        if (
-            config.near_duplicate_ratio > 0
-            and schedule
-            and rng.random() < config.near_duplicate_ratio
-        ):
-            twin = schedule[rng.randrange(len(schedule))]
-            schedule.append(
-                ScheduledArrival(
-                    index=index,
-                    at=at,
-                    submission=near_variant(twin.submission, index),
-                    near_duplicate_of=twin.index,
-                )
-            )
-            continue
         submission = config.templates[rng.randrange(len(config.templates))]
         changes: Dict[str, Any] = {"label": f"lg-{index:04d}"}
         if config.fast_ratio > 0 and rng.random() < config.fast_ratio:
@@ -239,7 +178,6 @@ def _run_one(
         "mode": arrival.submission.mode,
         "priority": arrival.submission.priority,
         "duplicate_of": arrival.duplicate_of,
-        "near_duplicate_of": arrival.near_duplicate_of,
         "outcome": "",
     }
     status = None
@@ -351,9 +289,6 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
         "scheduled": len(schedule),
         "scheduled_duplicates": sum(
             1 for a in schedule if a.duplicate_of is not None
-        ),
-        "scheduled_near_duplicates": sum(
-            1 for a in schedule if a.near_duplicate_of is not None
         ),
         "completed": len(done),
         "ok": sum(1 for r in done if r.get("result_status") == "ok"),

@@ -559,6 +559,10 @@ def _serve_replicated(args: argparse.Namespace) -> int:
         max_wait_ms=args.max_wait_ms,
         time_limit=args.time_limit,
         host=args.host,
+        cache_entries=args.cache_entries,
+        memory_entries=args.memory_entries,
+        retries=args.retries,
+        mp_context=args.mp_context,
     )
 
     async def _run() -> None:
@@ -746,7 +750,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         rate=args.rate,
         arrival=args.arrival,
         duplicate_ratio=args.duplicate_ratio,
-        near_duplicate_ratio=args.near_duplicate_ratio,
         fast_ratio=args.fast_ratio,
         low_priority_ratio=args.low_priority_ratio,
         seed=args.seed,
@@ -970,8 +973,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir",
                        help="on-disk result cache shared with 'repro batch'")
     serve.add_argument("--cache-entries", type=int, default=None,
-                       help="bound the on-disk cache to its newest N entries "
-                            "(default: unbounded)")
+                       help="bound the on-disk cache (and, in a fleet, the "
+                            "shared warm-state directory) to its newest N "
+                            "entries (default: unbounded)")
     serve.add_argument("--memory-entries", type=int, default=256,
                        help="in-memory result store capacity")
     serve.add_argument("--retries", type=int, default=0,
@@ -1020,10 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--duplicate-ratio", type=float, default=0.5,
                          help="fraction of arrivals that repeat an earlier "
                               "submission verbatim (exercises dedupe)")
-    loadgen.add_argument("--near-duplicate-ratio", type=float, default=0.0,
-                         help="fraction of arrivals that resend an earlier "
-                              "submission with one structural design edit "
-                              "(exercises similarity warm starts)")
     loadgen.add_argument("--fast-ratio", type=float, default=0.0,
                          help="fraction of arrivals submitted as fast-mode "
                               "jobs")

@@ -289,60 +289,6 @@ class SolveContext:
             ),
         }
 
-    @staticmethod
-    def transplant_chain_dict(
-        chain: Mapping[str, Any],
-        *,
-        structures: Any,
-        bank_types: Any = None,
-        keep_basis: bool = False,
-    ) -> Optional[Dict[str, Any]]:
-        """Fit a foreign :meth:`chain_dict` onto a *differing* model.
-
-        The similarity-keyed warm path of the serve tier imports state
-        exported by a near-duplicate job, so the incumbent may reference
-        structures or bank types the target model does not have.  This
-        filters the transferable state down to what is sound for the
-        target:
-
-        * ``seed_assignment`` keeps only entries whose structure is in
-          ``structures`` (and, when ``bank_types`` is given, whose bank
-          type exists on the target board) — the per-structure
-          admissibility and objective guards in
-          :meth:`repro.core.GlobalMapper` then decide adoption;
-        * ``warm_basis`` crosses only with ``keep_basis=True`` (the
-          caller proved the model shapes are identical); otherwise it is
-          dropped up front instead of tripping the kernel's dimension
-          guard;
-        * ``pseudocosts`` cross unfiltered — they are name-keyed advice,
-          and entries for foreign variables are simply never consulted.
-
-        Returns ``None`` when nothing worth importing survives (no seed
-        entry and no basis): the caller should fall back to a cold
-        start rather than pay a chained cache key for empty state.
-        """
-        if not isinstance(chain, Mapping):
-            return None
-        wanted = {str(name) for name in structures}
-        banks = None if bank_types is None else {str(name) for name in bank_types}
-        seed = chain.get("seed_assignment") or {}
-        transplanted_seed = {
-            structure: bank
-            for structure, bank in seed.items()
-            if structure in wanted and (banks is None or bank in banks)
-        }
-        basis = chain.get("warm_basis") if keep_basis else None
-        if not transplanted_seed and basis is None:
-            return None
-        return {
-            "kind": "solve_context_chain",
-            "pseudocosts": {
-                k: dict(v) for k, v in (chain.get("pseudocosts") or {}).items()
-            },
-            "seed_assignment": transplanted_seed or None,
-            "warm_basis": None if basis is None else dict(basis),
-        }
-
     @classmethod
     def from_chain_dict(cls, data: Mapping[str, Any]) -> "SolveContext":
         """Fresh context seeded with a previous point's :meth:`chain_dict`."""

@@ -23,12 +23,6 @@ from .queue import JobQueue, QueuedTicket
 from .router import HashRing, RouterServer, RouterService, routing_key
 from .server import MappingServer
 from .service import MappingService, ReplicaSupervisor, ServeError
-from .signature import (
-    signature_similarity,
-    signatures_compatible,
-    signatures_equal_shape,
-    structural_signature,
-)
 from .store import ResultStore, WarmStateStore
 
 __all__ = [
@@ -37,10 +31,6 @@ __all__ = [
     "MicroBatcher",
     "ResultStore",
     "WarmStateStore",
-    "structural_signature",
-    "signature_similarity",
-    "signatures_compatible",
-    "signatures_equal_shape",
     "MappingService",
     "ReplicaSupervisor",
     "ServeError",

@@ -60,10 +60,6 @@ class QueuedTicket:
     #: (empty otherwise); the finished solve exports its chain context
     #: under this key for sibling replicas to seed from.
     warm_key: str = ""
-    #: Structural signature of the job's payload (when warm sharing is
-    #: active); exported alongside the chain context so near-duplicate
-    #: submissions can find this entry by similarity.
-    signature: Optional[Dict[str, Any]] = None
 
     def job_ids(self) -> List[str]:
         return [self.job_id, *self.followers]

@@ -548,8 +548,6 @@ class RouterService:
             "reuses": 0,
             "imports": 0,
             "evictions": 0,
-            "similar_imports": 0,
-            "similar_rejects": 0,
         }
         summaries: List[Dict[str, Any]] = []
         for replica, report in zip(self.replicas.values(), reports):

@@ -34,12 +34,12 @@ import math
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.objective import CostWeights
 from ..engine import MappingEngine, MappingJob
 from ..engine.jobs import payload_cache_key, warm_state_key
-from ..ilp import SolveContext, resolve_backend
+from ..ilp import resolve_backend
 from ..ilp.errors import ModelError
 from ..io.serialize import SerializationError, board_from_dict, design_from_dict
 from ..io.serve import (
@@ -54,11 +54,6 @@ from ..io.serve import (
 )
 from .batcher import MicroBatcher
 from .queue import JobQueue, QueuedTicket
-from .signature import (
-    signatures_compatible,
-    signatures_equal_shape,
-    structural_signature,
-)
 from .store import TIER_MEMORY, ResultStore, WarmStateStore
 
 __all__ = [
@@ -142,11 +137,14 @@ class MappingService:
         #: Cross-replica warm-state exchange, enabled for sharded
         #: deployments whose replicas share one cache directory.  Exact
         #: pipeline jobs export their final chain context here and seed
-        #: their solves from whatever a sibling exported first.
+        #: their solves from whatever a sibling exported first.  The
+        #: ``disk_entries`` bound covers this directory too.
         self.warm: Optional[WarmStateStore] = None
         if warm_sharing and self.engine.cache is not None:
             self.warm = WarmStateStore(
-                self.engine.cache.directory / "_warm", instance=instance_name
+                self.engine.cache.directory / "_warm",
+                instance=instance_name,
+                max_entries=disk_entries,
             )
 
         self._ids = itertools.count(1)
@@ -173,8 +171,6 @@ class MappingService:
             "warm_seeded": 0,
             "warm_imports": 0,
             "warm_exports": 0,
-            "similar_imports": 0,
-            "similar_rejects": 0,
         }
         self.batch_sizes: deque = deque(maxlen=_METRICS_WINDOW)
         self.job_records: deque = deque(maxlen=_METRICS_WINDOW)
@@ -331,15 +327,9 @@ class MappingService:
         # (still-certified) mapping, and served fingerprints must stay
         # identical to the direct ``repro batch`` path.
         warm_key = ""
-        signature: Optional[Dict[str, Any]] = None
         if self.warm is not None and job.mode == "pipeline":
             warm_key = warm_state_key(payload)
-            signature = structural_signature(payload)
             warm = self.warm.get(warm_key)
-            if warm is None:
-                # Exact miss: fall back to the structurally nearest
-                # compatible neighbor's state (near-duplicate traffic).
-                warm = self._similar_seed(payload, signature, warm_key)
             if warm is not None:
                 self.counters["warm_seeded"] += 1
                 if warm.get("source") != self.instance:
@@ -358,7 +348,6 @@ class MappingService:
             priority=submission.priority,
             deadline_at=deadline_at,
             warm_key=warm_key,
-            signature=signature,
         )
         self._inflight[key] = ticket
         self._ticket_for[job_id] = ticket
@@ -425,13 +414,7 @@ class MappingService:
         sizes = list(self.batch_sizes)
         store_stats = self.store.stats()
         if self.warm is not None:
-            # The store counts the exchange (exports/reuses/imports/
-            # evictions); the service owns the similarity-path verdicts.
-            store_stats["warm"] = {
-                **self.warm.stats(),
-                "similar_imports": self.counters["similar_imports"],
-                "similar_rejects": self.counters["similar_rejects"],
-            }
+            store_stats["warm"] = self.warm.stats()
         return HealthReport(
             status="ok",
             role="service",
@@ -502,57 +485,6 @@ class MappingService:
             )
         except (TypeError, ValueError) as exc:
             raise ServeError(f"bad submission: {exc}") from exc
-
-    def _similar_seed(
-        self,
-        payload: Mapping[str, Any],
-        signature: Optional[Dict[str, Any]],
-        warm_key: str,
-    ) -> Optional[Dict[str, Any]]:
-        """Seed document transplanted from the nearest compatible neighbor.
-
-        The similarity path of the warm-state store: on an exact-identity
-        miss, rank the stored entries by structural-signature similarity,
-        guard the best candidate (hard-compatibility bucket, SOS-layout
-        agreement, dimension check for the basis), and transplant the
-        transferable slice of its chain context onto this job's model.
-        Every guard failure is a *silent cold fallback* — counted in
-        ``similar_rejects``, never an error — and a successful transplant
-        counts in ``similar_imports``.  Served mappings stay
-        fingerprint-identical either way: imported seeds only steer
-        solver effort, the per-structure admissibility and
-        strict-improvement guards downstream decide adoption.
-        """
-        if self.warm is None or signature is None:
-            return None
-        neighbor = self.warm.find_similar(signature, exclude=(warm_key,))
-        if neighbor is None:
-            return None
-        neighbor_signature = neighbor.get("signature") or {}
-        if not signatures_compatible(signature, neighbor_signature):
-            # A sketch collision whose SOS layouts disagree: same-named
-            # structures with different geometry must never transplant.
-            self.counters["similar_rejects"] += 1
-            return None
-        design = payload.get("design") or {}
-        board = payload.get("board") or {}
-        chain = SolveContext.transplant_chain_dict(
-            neighbor.get("chain_context") or {},
-            structures=[
-                entry.get("name")
-                for entry in design.get("data_structures") or []
-            ],
-            bank_types=[
-                bank.get("name") for bank in board.get("bank_types") or []
-            ],
-            keep_basis=signatures_equal_shape(signature, neighbor_signature),
-        )
-        if chain is None:
-            # Dimension/overlap mismatch left nothing transferable.
-            self.counters["similar_rejects"] += 1
-            return None
-        self.counters["similar_imports"] += 1
-        return {"source": neighbor.get("source"), "chain_context": chain}
 
     async def _dispatch_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -672,11 +604,7 @@ class MappingService:
             and isinstance(document.get("chain_context"), dict)
         ):
             try:
-                if self.warm.put(
-                    ticket.warm_key,
-                    document["chain_context"],
-                    signature=ticket.signature,
-                ):
+                if self.warm.put(ticket.warm_key, document["chain_context"]):
                     self.counters["warm_exports"] += 1
             except OSError:
                 pass  # warm sharing is an optimisation, never a failure
@@ -777,6 +705,10 @@ class ReplicaSupervisor:
         host: str = "127.0.0.1",
         boot_timeout: float = 60.0,
         name_prefix: str = "replica",
+        cache_entries: Optional[int] = None,
+        memory_entries: int = 256,
+        retries: int = 0,
+        mp_context: Optional[str] = None,
     ) -> None:
         if count < 1:
             raise ValueError("a fleet needs at least one replica")
@@ -789,6 +721,10 @@ class ReplicaSupervisor:
         self.host = host
         self.boot_timeout = boot_timeout
         self.name_prefix = name_prefix
+        self.cache_entries = cache_entries
+        self.memory_entries = memory_entries
+        self.retries = retries
+        self.mp_context = mp_context
         self._procs: Dict[str, asyncio.subprocess.Process] = {}
         self._urls: Dict[str, str] = {}
         self._drains: List[asyncio.Task] = []
@@ -815,9 +751,17 @@ class ReplicaSupervisor:
             str(self.max_wait_ms),
             "--instance-name",
             name,
+            "--memory-entries",
+            str(self.memory_entries),
+            "--retries",
+            str(self.retries),
         ]
         if self.time_limit is not None:
             command += ["--time-limit", str(self.time_limit)]
+        if self.cache_entries is not None:
+            command += ["--cache-entries", str(self.cache_entries)]
+        if self.mp_context is not None:
+            command += ["--mp-context", self.mp_context]
         return command
 
     def _env(self) -> Dict[str, str]:

@@ -19,8 +19,8 @@ The store only ever holds *terminal, deterministic* outcomes (``ok`` and
 :class:`WarmStateStore` is the second shared-directory channel: replicas
 publish the exported :meth:`~repro.ilp.SolveContext.chain_dict` of
 finished exact solves under a *warm key* (the job identity minus
-mode/gap/timeout), and any replica admitting related work seeds its solve
-from a sibling's state — cross-replica warm reuse without any
+mode/gap/timeout), and any replica admitting a job of the same identity
+seeds its solve from a sibling's state — cross-replica warm reuse without any
 replica-to-replica connection.
 """
 
@@ -31,11 +31,10 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..engine.cache import ResultCache
 from ..engine.jobs import STATUS_FAILED, STATUS_OK
-from .signature import signature_similarity
 
 __all__ = ["ResultStore", "WarmStateStore"]
 
@@ -142,16 +141,13 @@ class WarmStateStore:
     result cache only globs ``*.json`` at its top level, so the two never
     interfere).  Entries are small JSON documents::
 
-        {"warm_key": ..., "source": "<instance>",
-         "signature": {...}, "chain_context": {...}}
+        {"warm_key": ..., "source": "<instance>", "chain_context": {...}}
 
     ``source`` is the writing instance's name, which is how a reader
     distinguishes *reusing its own* state from importing a sibling
     replica's — the ``warm_imports`` counter that proves cross-replica
-    reuse in the scale benchmark.  ``signature`` is the exporter's
-    :func:`~repro.serve.signature.structural_signature`, which is what
-    :meth:`find_similar` ranks candidates by when an exact lookup
-    misses — the similarity-keyed warm path for near-duplicate traffic.
+    reuse in the scale benchmark.  Readers ignore any other keys (entries
+    written by older versions may carry a ``signature``).
 
     Writes are atomic (temp file + :func:`os.replace`) and first-writer
     wins: an entry is never overwritten, because any exporter of the same
@@ -177,18 +173,17 @@ class WarmStateStore:
         self.reuses = 0
         self.imports = 0
         self.evictions = 0
-        #: warm_key -> signature (``None`` for entries exported without
-        #: one).  Entries are immutable once written, so a parsed
-        #: signature never goes stale; the index is refreshed lazily from
-        #: the directory listing so entries exported by *sibling*
-        #: replicas become candidates too.
-        self._signatures: Dict[str, Optional[Dict[str, Any]]] = {}
 
     def path_for(self, warm_key: str) -> Path:
         return self.directory / f"{warm_key}.json"
 
-    def _load(self, warm_key: str) -> Optional[Dict[str, Any]]:
-        """Parse one entry; ``None`` on miss/corruption.  No counters."""
+    def get(self, warm_key: str) -> Optional[Dict[str, Any]]:
+        """The warm document for ``warm_key``; ``None`` on miss/corruption.
+
+        A readable hit bumps :attr:`reuses`, and additionally
+        :attr:`imports` when the entry was written by a different
+        instance.
+        """
         try:
             document = json.loads(
                 self.path_for(warm_key).read_text(encoding="utf-8")
@@ -199,79 +194,13 @@ class WarmStateStore:
             document.get("chain_context"), dict
         ):
             return None
-        return document
-
-    def get(self, warm_key: str) -> Optional[Dict[str, Any]]:
-        """The warm document for ``warm_key``; ``None`` on miss/corruption.
-
-        A readable hit bumps :attr:`reuses`, and additionally
-        :attr:`imports` when the entry was written by a different
-        instance.
-        """
-        document = self._load(warm_key)
-        if document is None:
-            return None
         self.reuses += 1
         if document.get("source") != self.instance:
             self.imports += 1
         return document
 
-    def _refresh_index(self) -> None:
-        """Sync the signature index with the (shared) directory listing."""
-        try:
-            names = {path.stem for path in self.directory.glob("*.json")}
-        except OSError:
-            return
-        for stale in set(self._signatures) - names:
-            del self._signatures[stale]
-        for warm_key in names - set(self._signatures):
-            document = self._load(warm_key)
-            signature = document.get("signature") if document else None
-            self._signatures[warm_key] = (
-                signature if isinstance(signature, dict) else None
-            )
-
-    def find_similar(
-        self,
-        signature: Optional[Mapping[str, Any]],
-        min_similarity: float = 0.5,
-        exclude: Iterable[str] = (),
-    ) -> Optional[Dict[str, Any]]:
-        """The stored entry structurally nearest to ``signature``.
-
-        Ranks every signed entry (own exports and siblings' alike) by
-        :func:`~repro.serve.signature.signature_similarity` and returns
-        the best document at or above ``min_similarity`` — ties break on
-        the lexicographically smallest warm key, so concurrent replicas
-        pick the same neighbor.  Returns ``None`` when nothing qualifies.
-        The caller still owns the compatibility/transplant decision (and
-        its ``similar_imports`` / ``similar_rejects`` accounting); this
-        method bumps no counters.
-        """
-        if not isinstance(signature, Mapping) or not signature.get("bucket"):
-            return None
-        self._refresh_index()
-        excluded = set(exclude)
-        ranked: List[Tuple[float, str]] = []
-        for warm_key, candidate in self._signatures.items():
-            if warm_key in excluded or not candidate:
-                continue
-            score = signature_similarity(signature, candidate)
-            if score >= min_similarity:
-                ranked.append((-score, warm_key))
-        for _, warm_key in sorted(ranked):
-            document = self._load(warm_key)
-            if document is not None:
-                return document
-            # Evicted/corrupted between indexing and now: drop and move on.
-            self._signatures.pop(warm_key, None)
-        return None
-
     def put(
-        self,
-        warm_key: str,
-        chain_context: Dict[str, Any],
-        signature: Optional[Mapping[str, Any]] = None,
+        self, warm_key: str, chain_context: Dict[str, Any]
     ) -> Optional[Path]:
         """Publish ``chain_context`` under ``warm_key`` (first writer wins)."""
         path = self.path_for(warm_key)
@@ -282,8 +211,6 @@ class WarmStateStore:
             "source": self.instance,
             "chain_context": dict(chain_context),
         }
-        if isinstance(signature, Mapping):
-            document["signature"] = dict(signature)
         try:
             fd, tmp_name = tempfile.mkstemp(
                 dir=str(self.directory), prefix=".warm-", suffix=".tmp"
@@ -307,9 +234,6 @@ class WarmStateStore:
                 pass
             raise
         self.exports += 1
-        self._signatures[warm_key] = (
-            dict(signature) if isinstance(signature, Mapping) else None
-        )
         if self.max_entries is not None:
             self._evict()
         return path
@@ -338,7 +262,6 @@ class WarmStateStore:
             except OSError:
                 continue
             self.evictions += 1
-            self._signatures.pop(path.stem, None)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))

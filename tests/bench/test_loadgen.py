@@ -6,7 +6,7 @@ import pytest
 
 from repro.arch import virtex_board
 from repro.design import fir_filter_design, matrix_multiply_design
-from repro.bench.loadgen import LoadgenConfig, build_schedule, near_variant
+from repro.bench.loadgen import LoadgenConfig, build_schedule
 from repro.io.serve import JobSubmission
 
 
@@ -96,55 +96,6 @@ class TestTrafficMix:
         schedule = build_schedule(config(duplicate_ratio=0.0))
         assert all(a.submission.mode == "pipeline" for a in schedule)
         assert all(a.submission.priority == 0 for a in schedule)
-
-
-class TestNearDuplicates:
-    def test_near_variant_makes_exactly_one_structural_edit(self):
-        original = templates()[0]
-        variant = near_variant(original, 5)
-        assert variant.board == original.board
-        assert variant.solver == original.solver
-        assert variant.mode == "pipeline"
-        assert variant.design != original.design
-        conflicts = original.design.get("conflicts") or []
-        if conflicts:
-            assert len(variant.design["conflicts"]) == len(conflicts) - 1
-        else:
-            assert (
-                variant.design["data_structures"]
-                != original.design["data_structures"]
-            )
-
-    def test_near_variant_is_deterministic_per_index(self):
-        original = templates()[0]
-        assert near_variant(original, 3) == near_variant(original, 3)
-
-    def test_near_duplicates_reference_an_earlier_arrival(self):
-        schedule = build_schedule(config(
-            duplicate_ratio=0.0, near_duplicate_ratio=0.6,
-        ))
-        by_index = {a.index: a for a in schedule}
-        nears = [a for a in schedule if a.near_duplicate_of is not None]
-        assert nears, "a 0.6 near-duplicate ratio must produce variants"
-        assert len(nears) < len(schedule)  # the first arrival is fresh
-        for arrival in nears:
-            twin = by_index[arrival.near_duplicate_of]
-            assert arrival.near_duplicate_of < arrival.index
-            assert arrival.submission.design != twin.submission.design
-            assert arrival.submission.board == twin.submission.board
-
-    def test_near_mix_is_deterministic(self):
-        first = build_schedule(config(near_duplicate_ratio=0.7))
-        second = build_schedule(config(near_duplicate_ratio=0.7))
-        assert first == second
-
-    def test_zero_near_ratio_leaves_existing_schedules_unchanged(self):
-        # The near draw must not consume randomness when the mix is off,
-        # so schedules recorded before the mix existed stay identical.
-        with_field = build_schedule(config(near_duplicate_ratio=0.0))
-        baseline = build_schedule(config())
-        assert with_field == baseline
-        assert all(a.near_duplicate_of is None for a in baseline)
 
 
 class TestBurstyArrivals:

@@ -9,13 +9,14 @@ import pytest
 
 from repro.arch import virtex_board
 from repro.design import (
+    fft_design,
     fir_filter_design,
     image_pipeline_design,
     matrix_multiply_design,
 )
 from repro.engine import MappingEngine, MappingJob
 from repro.io.serve import JobSubmission
-from repro.serve import MappingService, ServeError
+from repro.serve import MappingService, ReplicaSupervisor, ServeError
 
 
 def submission(design=None, board=None, **overrides) -> JobSubmission:
@@ -357,3 +358,76 @@ class TestHealthAndArtifact:
 
         service = with_service(scenario, record_entries=4)
         assert len(service._records) <= 4
+
+
+class TestWarmSharing:
+    def test_exact_identity_under_a_new_cache_key_is_seeded(self, tmp_path):
+        # The same design under another time budget is a different cache
+        # key but the same warm identity: it is seeded from the exported
+        # state. Near-duplicate and unrelated misses are pinned in
+        # test_similarity.py.
+        async def scenario(service):
+            first = service.submit(submission())
+            await wait_done(service, first.job_id)
+            exported = dict(service.counters)
+            second = service.submit(submission(timeout=120.0))
+            final = await wait_done(service, second.job_id)
+            return exported, final, dict(service.counters), service.health_report()
+
+        exported, final, last, health = with_service(
+            scenario, cache_dir=tmp_path, warm_sharing=True
+        )
+        assert exported["warm_exports"] == 1
+        assert exported["warm_seeded"] == 0
+        assert final.result_status == "ok"
+        assert last["warm_seeded"] == 1
+        assert set(health.store["warm"]) == {
+            "exports", "reuses", "imports", "evictions",
+        }
+
+    def test_disk_entries_bounds_the_warm_directory(self, tmp_path):
+        async def scenario(service):
+            for design in (
+                fir_filter_design(),
+                matrix_multiply_design(),
+                image_pipeline_design(),
+                fft_design(),
+            ):
+                status = service.submit(submission(design))
+                await wait_done(service, status.job_id)
+            return len(service.warm), service.counters["warm_exports"]
+
+        entries, exports = with_service(
+            scenario, cache_dir=tmp_path, disk_entries=2, warm_sharing=True
+        )
+        assert exports == 4
+        assert entries <= 2
+
+
+class TestReplicaSupervisor:
+    def test_command_forwards_every_replica_flag(self, tmp_path):
+        supervisor = ReplicaSupervisor(
+            count=2,
+            cache_dir=str(tmp_path),
+            time_limit=5.0,
+            cache_entries=50,
+            memory_entries=64,
+            retries=2,
+            mp_context="spawn",
+        )
+        command = supervisor._command("replica-0")
+        flags = dict(zip(command, command[1:]))
+        assert flags["--instance-name"] == "replica-0"
+        assert flags["--cache-dir"] == str(tmp_path)
+        assert flags["--time-limit"] == "5.0"
+        assert flags["--cache-entries"] == "50"
+        assert flags["--memory-entries"] == "64"
+        assert flags["--retries"] == "2"
+        assert flags["--mp-context"] == "spawn"
+
+        command = ReplicaSupervisor(
+            count=2, cache_dir=str(tmp_path)
+        )._command("replica-0")
+        assert "--cache-entries" not in command
+        assert "--mp-context" not in command
+        assert "--time-limit" not in command

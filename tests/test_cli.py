@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 
 from repro.cli import BUILTIN_BOARDS, BUILTIN_DESIGNS, main
 from repro.io import board_to_dict, design_to_dict, save_json
@@ -290,6 +291,31 @@ class TestServeCommandUsage:
             assert "cannot serve" in capsys.readouterr().err
         finally:
             blocker.close()
+
+    def test_replicated_serve_hands_every_replica_flag_on(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.serve.service as service_module
+
+        seen = {}
+
+        class Booted(Exception):
+            pass
+
+        def fake_supervisor(**kwargs):
+            seen.update(kwargs)
+            raise Booted
+
+        monkeypatch.setattr(service_module, "ReplicaSupervisor",
+                            fake_supervisor)
+        with pytest.raises(Booted):
+            main(["serve", "--replicas", "2", "--cache-dir", str(tmp_path),
+                  "--cache-entries", "40", "--memory-entries", "32",
+                  "--retries", "1", "--mp-context", "spawn"])
+        assert seen["cache_entries"] == 40
+        assert seen["memory_entries"] == 32
+        assert seen["retries"] == 1
+        assert seen["mp_context"] == "spawn"
 
 
 class TestSubmitCommand:
