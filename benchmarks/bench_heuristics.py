@@ -15,7 +15,8 @@ heuristics vs LP-integral nodes).  The document lands in
 ``bench-artifacts``); ``scripts/bench_compare.py --check`` validates it
 and the CI smoke job diffs a fresh ``--quick`` run against the committed
 baseline on the *deterministic* counters (exact node counts, certified
-rows, gap contract), never on wall time.
+rows, gap contract, and the exact runs' total LP solves and pivots,
+dives and LNS included), never on wall time.
 
 Usage::
 
@@ -76,6 +77,9 @@ def _run_point(point, seed: int) -> Dict[str, Any]:
         "exact_wall_seconds": exact_wall,
         "exact_objective": exact.cost.weighted_total,
         "exact_nodes": int(stats.get("nodes_explored", 0)),
+        "lp_solves": int(stats.get("lp_solves", 0)),
+        "dive_lp_solves": int(stats.get("dive_lp_solves", 0)),
+        "simplex_iterations": int(stats.get("simplex_iterations", 0)),
         "incumbent_updates": incumbents,
         "heuristic_incumbents": heuristic,
         "tree_incumbents": max(0, incumbents - heuristic),
@@ -125,6 +129,9 @@ def run(quick: bool, seed: int = 0) -> Dict[str, Any]:
         "wall_seconds": wall,
         "total_exact_nodes": sum(r["exact_nodes"] for r in rows),
         "total_heuristic_incumbents": sum(r["heuristic_incumbents"] for r in rows),
+        "total_lp_solves": sum(r["lp_solves"] for r in rows),
+        "total_dive_lp_solves": sum(r["dive_lp_solves"] for r in rows),
+        "total_simplex_iterations": sum(r["simplex_iterations"] for r in rows),
         "total_dive_pivots": sum(r["dive_pivots"] for r in rows),
         "total_lns_rounds": sum(r["lns_rounds"] for r in rows),
         "num_fast_certified": sum(int(r["fast_certified"]) for r in rows),

@@ -14,6 +14,9 @@ Two modes:
     wall time regressed by more than PCT percent over the baseline —
     except for ``lp_kernel`` artifacts, which gate on total pivots (a
     deterministic counter, comparable across machines) instead.
+    ``table3`` and ``heuristics`` artifacts over the same points also
+    gate, with no tolerance, on their total LP work: LP solves and
+    pivots, the dives' and LNS's included, may not exceed the baseline.
 
 Examples::
 
@@ -39,6 +42,7 @@ TOTAL_KEYS = (
     "wall_seconds",
     "serial_seconds",
     "total_lp_solves",
+    "total_dive_lp_solves",
     "total_nodes_explored",
     "total_simplex_iterations",
     "total_warm_lp_solves",
@@ -62,7 +66,8 @@ TOTAL_KEYS = (
 #: Solver-work keys a table3 artifact must carry since the revised-simplex
 #: kernel landed (the bench-smoke job gates on their presence).
 TABLE3_KEYS = ("total_warm_lp_solves", "total_basis_reuses",
-               "total_refactorizations")
+               "total_refactorizations", "total_dive_lp_solves",
+               "total_dive_pivots")
 
 #: Aggregate counters an lp_kernel artifact (the LP kernel
 #: micro-benchmark, ``benchmarks/bench_lp_kernel.py``) must carry.
@@ -78,7 +83,15 @@ LP_KERNEL_KEYS = ("total_pivots", "total_etas_applied",
 #: counts and the gap contract — not wall time.
 HEURISTICS_KEYS = ("gap_limit", "total_exact_nodes",
                    "total_heuristic_incumbents", "num_fast_certified",
-                   "all_gaps_ok")
+                   "all_gaps_ok", "total_lp_solves", "total_dive_lp_solves",
+                   "total_simplex_iterations", "total_dive_pivots")
+
+#: Total LP work of a table3 or heuristics artifact: (what, summed keys).
+#: Deterministic for a fixed set of points, so the gate has no tolerance.
+LP_WORK = (
+    ("LP solves", ("total_lp_solves", "total_dive_lp_solves")),
+    ("pivots", ("total_simplex_iterations", "total_dive_pivots")),
+)
 
 #: Keys a serve_scale artifact (``benchmarks/bench_serve_scale.py``)
 #: must carry.  Its gates run exclusively on deterministic counters —
@@ -279,6 +292,34 @@ def _delta(base: Optional[float], cand: Optional[float]) -> str:
     return f"{diff:+.3f}{pct}"
 
 
+def _lp_work_regressions(baseline: Dict[str, Any],
+                         candidate: Dict[str, Any]) -> List[str]:
+    """LP-work sums of ``candidate`` that exceed ``baseline``'s.
+
+    Only artifacts over the same labels are comparable; otherwise, or
+    when either artifact predates a summed key, the gate is skipped with
+    a note.
+    """
+    labels = [{row.get("label") for row in doc.get("results", [])}
+              for doc in (baseline, candidate)]
+    if labels[0] != labels[1]:
+        print("\nnote: LP-work gate skipped: the artifacts cover different "
+              "points")
+        return []
+    regressions = []
+    for what, keys in LP_WORK:
+        if any(key not in doc for doc in (baseline, candidate) for key in keys):
+            print(f"\nnote: LP-work gate on {what} skipped: "
+                  f"{' + '.join(keys)} missing from an artifact")
+            continue
+        base = sum(int(baseline[key]) for key in keys)
+        cand = sum(int(candidate[key]) for key in keys)
+        if cand > base:
+            regressions.append(f"candidate total {what} {cand} "
+                               f"({' + '.join(keys)}) exceed baseline {base}")
+    return regressions
+
+
 def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
             fail_over: Optional[float]) -> int:
     if baseline.get("name") == candidate.get("name") == "serve_scale":
@@ -339,6 +380,13 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
         print(f"\nwarning: labels present in only one artifact: {missing}")
 
     if fail_over is not None:
+        if baseline.get("name") == candidate.get("name") and \
+                baseline.get("name") in ("table3", "heuristics"):
+            regressions = _lp_work_regressions(baseline, candidate)
+            if regressions:
+                for regression in regressions:
+                    print(f"\nFAIL: {regression}")
+                return 1
         if baseline.get("name") == candidate.get("name") == "heuristics":
             # Heuristics artifacts gate on the exact tree's node counts
             # and the fast lane's certification rate — both deterministic

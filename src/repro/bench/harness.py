@@ -360,6 +360,7 @@ class Table3Harness:
             # artifacts (e.g. warm+presolve vs the legacy cold path) can be
             # diffed by scripts/bench_compare.py.
             "total_lp_solves": stat_total("lp_solves"),
+            "total_dive_lp_solves": stat_total("dive_lp_solves"),
             "total_nodes_explored": stat_total("nodes_explored"),
             "total_simplex_iterations": stat_total("simplex_iterations"),
             "total_warm_lp_solves": stat_total("warm_lp_solves"),

@@ -42,14 +42,14 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .context import SolveContext
 from .diving import dive, rins_dive
 from .errors import ModelError
-from .heuristics import round_with_sos, sos_greedy_assignment
+from .heuristics import SosLayout, round_with_sos, sos_greedy_assignment
 from .lns import LnsOptions, lns_search
 from .model import Model
 from .presolve import Postsolve, presolve as run_presolve, propagate_bounds
@@ -151,6 +151,84 @@ class BnBOptions:
     log: bool = False
 
 
+def structural_floor(
+    layout: SosLayout, form: StandardForm, lb: np.ndarray, ub: np.ndarray
+) -> Tuple[float, Optional[np.ndarray]]:
+    """Valid lower bound on ``c.x + offset`` over the box ``[lb, ub]``, no LP.
+
+    Every exactly-one group of ``layout`` contributes its
+    :meth:`~repro.ilp.heuristics.SosLayout.group_minima`, every other
+    column its interval minimum.  Returns ``(floor, minima)``, or
+    ``(inf, None)`` when some group has no selectable member left.  The
+    group terms are added one at a time in group order, so prune
+    decisions taken on the floor do not depend on how it is vectorised.
+    """
+    minima = layout.group_minima(lb, ub)
+    if minima is None:
+        return math.inf, None
+    c = form.c
+    base = float(np.where(c >= 0, c * lb, c * ub)[~layout.in_group].sum())
+    total = float(np.add.accumulate(np.concatenate(([base], minima)))[-1])
+    return total + form.objective_offset, minima
+
+
+def apply_objective_cutoff(
+    layout: SosLayout,
+    form: StandardForm,
+    cutoff: float,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    integrality_tol: float,
+    counts: Dict[str, Any],
+) -> Tuple[bool, np.ndarray, np.ndarray]:
+    """Filter a node's box against ``c.x <= cutoff``.
+
+    Uses the same exactly-one group semantics SOS branching relies on:
+    the :func:`structural_floor` of the box.  Group members whose
+    selection alone would bust the cutoff are removed, free integers are
+    narrowed to the span the slack allows, and boxes whose floor already
+    exceeds the cutoff are pruned — all without an LP solve.  Prunes and
+    fixings are tallied in ``counts``.  Returns ``(feasible, lb, ub)``;
+    the input arrays come back as they are when nothing was tightened.
+    """
+    base, minima = structural_floor(layout, form, lb, ub)
+    if minima is None:
+        return False, lb, ub
+    if not math.isfinite(base):
+        # Unbounded-below contributions (free variables) poison the
+        # floor; the filter has nothing sound to say — skip it.
+        return True, lb, ub
+    if base > cutoff + 1e-12:
+        counts["objective_cutoff_prunes"] = counts.get("objective_cutoff_prunes", 0) + 1
+        return False, lb, ub
+    slack = cutoff - base
+    new_lb, new_ub = lb, ub
+    flat = layout.flat
+    open_members = (ub[flat] > 0.5) & (lb[flat] < 0.5)
+    too_dear = flat[open_members & (layout.cost - minima[layout.segment] > slack + 1e-9)]
+    if too_dear.size:
+        new_lb, new_ub = lb.copy(), ub.copy()
+        new_ub[too_dear] = 0.0
+        counts["objective_cutoff_fixings"] = (
+            counts.get("objective_cutoff_fixings", 0) + int(too_dear.size)
+        )
+    free = np.flatnonzero(form.integrality & ~layout.in_group)
+    c = form.c[free]
+    width = ub[free] - lb[free]
+    wide = ~((width <= integrality_tol) | (np.abs(c) * width <= slack + 1e-9))
+    if wide.any():
+        free, c = free[wide], c[wide]
+        span = np.floor(slack / np.abs(c) + integrality_tol)
+        if new_ub is ub:
+            new_lb, new_ub = lb.copy(), ub.copy()
+        up, down = c >= 0, c < 0
+        new_ub[free[up]] = np.minimum(ub[free[up]], lb[free[up]] + span[up])
+        new_lb[free[down]] = np.maximum(lb[free[down]], ub[free[down]] - span[down])
+        if np.any(new_ub[free] < new_lb[free] - integrality_tol):
+            return False, lb, ub
+    return True, new_lb, new_ub
+
+
 @dataclass(order=True)
 class _Node:
     """A subproblem in the search tree, ordered by its relaxation bound."""
@@ -228,30 +306,34 @@ class BranchAndBoundSolver:
     # ------------------------------------------------------------ branching
     def _select_sos_group(
         self,
-        groups: Sequence[Tuple[int, ...]],
+        layout: SosLayout,
         x: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
-    ) -> Optional[Tuple[Tuple[int, ...], np.ndarray]]:
-        """Pick the SOS-1 group whose LP values are the most fractional."""
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Pick the SOS-1 group whose LP values are the most fractional.
+
+        Groups already fully decided on this branch are skipped; the first
+        group with the largest score wins, and only a score above the
+        integrality tolerance counts.
+        """
         tol = self.options.integrality_tol
-        best_group = None
-        best_score = tol
-        for members in groups:
-            members = np.asarray(members, dtype=int)
-            if np.all(ub[members] - lb[members] < tol):
-                continue  # already fully decided on this branch
-            values = x[members]
-            frac = np.minimum(values, 1.0 - values)
-            score = float(frac.sum())
-            if score > best_score:
-                best_score = score
-                best_group = (tuple(members.tolist()), values)
-        return best_group
+        if not len(layout):
+            return None
+        flat = layout.flat
+        values = x[flat]
+        scores = layout.group_sums(np.minimum(values, 1.0 - values))
+        undecided = np.logical_or.reduceat(ub[flat] - lb[flat] >= tol, layout.starts)
+        scores[~undecided] = -math.inf
+        best = int(np.argmax(scores))
+        if not scores[best] > tol:
+            return None
+        members = layout.groups[best]
+        return members, x[members]
 
     def _branch_sos(
         self,
-        members: Tuple[int, ...],
+        members: np.ndarray,
         values: np.ndarray,
         node: _Node,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -264,12 +346,10 @@ class BranchAndBoundSolver:
                 continue
             lb = node.lb.copy()
             ub = node.ub.copy()
+            lb[members] = 0.0
+            ub[members] = 0.0
             lb[idx] = 1.0
             ub[idx] = 1.0
-            for other in members:
-                if other != idx:
-                    lb[other] = 0.0
-                    ub[other] = 0.0
             children.append((lb, ub))
         return children
 
@@ -465,80 +545,11 @@ class BranchAndBoundSolver:
                     reduced_groups.append(mapped)
 
         # ------------------------------------------------- objective cutoff
-        # Bookkeeping for the per-node objective-cutoff filter: which
-        # reduced columns belong to an (exactly-one) SOS group, and which
-        # integer columns stand alone.
-        group_members = [np.asarray(g, dtype=int) for g in reduced_groups]
-        in_group = np.zeros(rform.num_variables, dtype=bool)
-        for members in group_members:
-            in_group[members] = True
-        free_integers = np.where(rform.integrality & ~in_group)[0]
-
-        def apply_objective_cutoff(cutoff, lb, ub):
-            """Filter a node's box against ``c.x <= cutoff``.
-
-            Uses the same exactly-one group semantics SOS branching relies
-            on: every group contributes at least its cheapest selectable
-            member, every other variable its interval minimum.  Members
-            whose selection alone would bust the cutoff are removed, and
-            nodes whose floor already exceeds it are pruned — all without
-            an LP solve.  Returns ``(feasible, lb, ub)``.
-            """
-            c = rform.c
-            outside = ~in_group
-            base = float(np.where(c >= 0, c * lb, c * ub)[outside].sum())
-            minima = []
-            for members in group_members:
-                selectable = members[ub[members] > 0.5]
-                if selectable.size == 0:
-                    return False, lb, ub
-                forced = selectable[lb[selectable] > 0.5]
-                if forced.size:
-                    minima.append(float(c[forced].sum()))
-                else:
-                    minima.append(float(c[selectable].min()))
-            base += sum(minima) + rform.objective_offset
-            if not math.isfinite(base):
-                # Unbounded-below contributions (free variables) poison the
-                # floor; the filter has nothing sound to say — skip it.
-                return True, lb, ub
-            if base > cutoff + 1e-12:
-                stats.extra["objective_cutoff_prunes"] = (
-                    stats.extra.get("objective_cutoff_prunes", 0) + 1
-                )
-                return False, lb, ub
-            slack = cutoff - base
-            new_lb: Optional[np.ndarray] = None
-            new_ub: Optional[np.ndarray] = None
-            for members, group_min in zip(group_members, minima):
-                open_members = members[
-                    (ub[members] > 0.5) & (lb[members] < 0.5)
-                ]
-                too_dear = open_members[c[open_members] - group_min > slack + 1e-9]
-                if too_dear.size:
-                    if new_ub is None:
-                        new_lb, new_ub = lb.copy(), ub.copy()
-                    new_ub[too_dear] = 0.0
-                    stats.extra["objective_cutoff_fixings"] = (
-                        stats.extra.get("objective_cutoff_fixings", 0)
-                        + int(too_dear.size)
-                    )
-            for j in free_integers:
-                width = ub[j] - lb[j]
-                if width <= integrality_tol or abs(c[j]) * width <= slack + 1e-9:
-                    continue
-                span = math.floor(slack / abs(c[j]) + integrality_tol)
-                if new_ub is None:
-                    new_lb, new_ub = lb.copy(), ub.copy()
-                if c[j] >= 0:
-                    new_ub[j] = min(new_ub[j], lb[j] + span)
-                else:
-                    new_lb[j] = max(new_lb[j], ub[j] - span)
-                if new_ub[j] < new_lb[j] - integrality_tol:
-                    return False, lb, ub
-            if new_ub is None:
-                return True, lb, ub
-            return True, new_lb, new_ub
+        # The reduced (exactly-one) SOS groups as one flat layout: what
+        # the cutoff filter, the structural floor and SOS branching read
+        # at every node, and the dives and LNS walk group by group.
+        layout = SosLayout(reduced_groups, rform.c)
+        group_members = layout.groups
 
         # ------------------------------------------------------------ warm start
         incumbent: Optional[np.ndarray] = None
@@ -581,31 +592,10 @@ class BranchAndBoundSolver:
                 and obj - bound <= options.gap_limit * max(abs(bound), 1e-9) + 1e-12
             )
 
-        def structural_floor(lb: np.ndarray, ub: np.ndarray) -> float:
-            """Valid lower bound from bounds + exactly-one groups, no LP.
-
-            The same floor the objective-cutoff filter computes: every
-            group contributes at least its cheapest selectable member,
-            everything else its interval minimum.
-            """
-            c = rform.c
-            base = float(np.where(c >= 0, c * lb, c * ub)[~in_group].sum())
-            for members in group_members:
-                selectable = members[ub[members] > 0.5]
-                if selectable.size == 0:
-                    return math.inf
-                forced = selectable[lb[selectable] > 0.5]
-                base += (
-                    float(c[forced].sum())
-                    if forced.size
-                    else float(c[selectable].min())
-                )
-            return base + rform.objective_offset
-
         if options.gap_limit is not None and incumbent is not None:
             # Fast lane: a warm/greedy incumbent that already certifies
             # against the structural floor returns before any LP is built.
-            floor = structural_floor(rform.lb, rform.ub)
+            floor, _ = structural_floor(layout, rform, rform.lb, rform.ub)
             if meets_gap(incumbent_obj, floor):
                 return finish(FEASIBLE, incumbent, incumbent_obj, floor)
 
@@ -705,6 +695,9 @@ class BranchAndBoundSolver:
         best_bound = -math.inf
 
         integrality_tol = options.integrality_tol
+        rounding_layout = SosLayout(
+            [group.members for group in model.sos1_groups], root_form.c
+        )
 
         while queue:
             if options.time_limit is not None and time.perf_counter() - start > options.time_limit:
@@ -752,7 +745,8 @@ class BranchAndBoundSolver:
                 node.lb, node.ub = node_lb, node_ub
             if options.objective_cutoff and incumbent is not None:
                 feasible, node_lb, node_ub = apply_objective_cutoff(
-                    incumbent_obj - options.abs_gap, node_lb, node_ub
+                    layout, rform, incumbent_obj - options.abs_gap,
+                    node_lb, node_ub, integrality_tol, stats.extra,
                 )
                 if not feasible:
                     stats.nodes_pruned += 1
@@ -808,7 +802,9 @@ class BranchAndBoundSolver:
                 continue
 
             if options.node_rounding:
-                try_incumbent(round_with_sos(model, root_form, post.restore(x)))
+                try_incumbent(round_with_sos(
+                    model, root_form, post.restore(x), layout=rounding_layout
+                ))
 
             if heuristics_on and group_members and (
                 node.depth == 0
@@ -851,7 +847,8 @@ class BranchAndBoundSolver:
                 fathomed = False
                 for _ in range(3):
                     feasible, tight_lb, tight_ub = apply_objective_cutoff(
-                        incumbent_obj - options.abs_gap, probe_lb, probe_ub
+                        layout, rform, incumbent_obj - options.abs_gap,
+                        probe_lb, probe_ub, integrality_tol, stats.extra,
                     )
                     if not feasible:
                         # Even the cheapest completion of the root box
@@ -907,7 +904,7 @@ class BranchAndBoundSolver:
             children: List[Tuple] = []
             sos_children: List[Tuple[np.ndarray, np.ndarray]] = []
             if branching == "sos1" and reduced_groups:
-                selection = self._select_sos_group(reduced_groups, x, node.lb, node.ub)
+                selection = self._select_sos_group(layout, x, node.lb, node.ub)
                 if selection is not None:
                     members, values = selection
                     sos_children = self._branch_sos(members, values, node)
@@ -931,7 +928,7 @@ class BranchAndBoundSolver:
                     # the incumbent is discarded before it ever costs a
                     # node.  This is where a heuristic incumbent pays off
                     # twice — it prunes at the pop *and* at the push.
-                    floor = structural_floor(child_lb, child_ub)
+                    floor, _ = structural_floor(layout, rform, child_lb, child_ub)
                     if floor > child_bound:
                         child_bound = floor
                     if reduced_costs is not None:

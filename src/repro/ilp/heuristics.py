@@ -13,18 +13,99 @@ search.  Two lightweight heuristics are provided:
   each group, the cheapest member that keeps every ``<=`` constraint
   satisfiable.  This is solver-agnostic: it only looks at the model's
   matrix data, so it doubles as the "greedy mapper" baseline's engine.
+
+Per-node group passes (rounding here, the cutoff filter, the structural
+floor and SOS branching in :mod:`repro.ilp.branch_bound`) work on a
+:class:`SosLayout`: every group's members concatenated into one flat
+array, so a pass over all groups is a few ``reduceat`` calls instead of a
+Python loop per group.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .model import Model
 from .standard_form import StandardForm
 
-__all__ = ["round_with_sos", "sos_greedy_assignment"]
+__all__ = ["SosLayout", "round_with_sos", "sos_greedy_assignment"]
+
+
+class SosLayout:
+    """Disjoint SOS-1 groups as one flat segment layout, built once per solve.
+
+    ``flat`` concatenates the members of every non-empty group,
+    ``starts`` holds each segment's first position (the offsets
+    ``np.ufunc.reduceat`` takes), ``segment`` the group id of every flat
+    position and ``cost`` the objective coefficients ``c[flat]``.
+    ``groups`` keeps the per-group index arrays for callers that walk
+    groups one at a time (dives, LNS).
+
+    Minima, maxima and logical reductions run through ``reduceat``.  Sums
+    go through :meth:`group_sums`, which adds each group exactly as
+    ``np.sum`` of its own slice would, so a vectorised pass rounds the
+    same way a per-group loop does and branching, pruning and fathoming
+    decisions taken on those sums do not move.
+    """
+
+    def __init__(self, groups: Sequence[Sequence[int]], c: np.ndarray) -> None:
+        c = np.asarray(c, dtype=np.float64)
+        self.groups: List[np.ndarray] = [
+            members
+            for members in (np.asarray(g, dtype=np.int64) for g in groups)
+            if members.size
+        ]
+        sizes = np.array([g.size for g in self.groups], dtype=np.int64)
+        self.flat = (
+            np.concatenate(self.groups) if self.groups else np.zeros(0, dtype=np.int64)
+        )
+        self.starts = np.cumsum(sizes) - sizes
+        self.segment = np.repeat(np.arange(sizes.size), sizes)
+        self.cost = c[self.flat]
+        self.in_group = np.zeros(c.size, dtype=bool)
+        self.in_group[self.flat] = True
+        # Same-size groups as one (groups x size) block of flat positions:
+        # a row sum of a block is bit-identical to ``np.sum`` of each row,
+        # which ``np.add.reduceat`` (first member + the rest) is not.
+        self._blocks = []
+        for size in sorted(set(sizes.tolist())):
+            ids = np.flatnonzero(sizes == size)
+            self._blocks.append((ids, self.starts[ids][:, None] + np.arange(size)))
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def group_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-group sums of ``values`` (one entry per flat position)."""
+        sums = np.empty(len(self))
+        for ids, positions in self._blocks:
+            sums[ids] = values[positions].sum(axis=1)
+        return sums
+
+    def group_minima(self, lb: np.ndarray, ub: np.ndarray) -> Optional[np.ndarray]:
+        """Least cost each exactly-one group adds inside the box ``[lb, ub]``.
+
+        A group pays for its forced members (``lb > 0.5``) when it has
+        any, otherwise for its cheapest selectable one (``ub > 0.5``).
+        ``None`` when some group has no selectable member left.  The
+        forced sum adds zeros in place of the other members, which equals
+        the sum over the forced members alone for groups of fewer than
+        eight members, or with at most two forced ones; more than one
+        forced member already makes the box infeasible for the group.
+        """
+        if not len(self):
+            return np.zeros(0)
+        selectable = ub[self.flat] > 0.5
+        if not np.logical_or.reduceat(selectable, self.starts).all():
+            return None
+        forced = selectable & (lb[self.flat] > 0.5)
+        paid = self.group_sums(np.where(forced, self.cost, 0.0))
+        cheapest = np.minimum.reduceat(
+            np.where(selectable, self.cost, np.inf), self.starts
+        )
+        return np.where(np.logical_or.reduceat(forced, self.starts), paid, cheapest)
 
 
 def round_with_sos(
@@ -32,40 +113,42 @@ def round_with_sos(
     form: StandardForm,
     x_frac: np.ndarray,
     tol: float = 1e-6,
+    layout: Optional[SosLayout] = None,
 ) -> Optional[np.ndarray]:
     """Round a fractional LP point to a feasible integer point, if possible.
 
     SOS-1 groups are rounded to their largest-value member (ties broken by
     lowest objective coefficient); remaining integer variables are rounded
     to the nearest integer within bounds.  Returns ``None`` when the rounded
-    point violates any constraint.
+    point violates any constraint.  ``layout`` is the model's groups over
+    ``form.c``; callers that round many points pass it to build it once.
     """
+    if layout is None:
+        layout = SosLayout([g.members for g in model.sos1_groups], form.c)
     x = np.asarray(x_frac, dtype=float).copy()
-    in_group = np.zeros(form.num_variables, dtype=bool)
-
-    for group in model.sos1_groups:
-        members = np.asarray(group.members, dtype=int)
-        in_group[members] = True
-        values = x[members]
+    if len(layout):
+        flat = layout.flat
+        values = x[flat]
         # Only members whose bounds still allow a one may win the group:
         # branch-and-bound fixes forbidden candidates to zero via ``ub``.
-        allowed = form.ub[members] >= 0.5
-        forced = form.lb[members] > 0.5
-        x[members] = 0.0
-        if np.any(forced):
-            x[members[np.argmax(forced)]] = 1.0
-            continue
-        if not np.any(allowed):
-            continue
-        candidates = members[allowed]
-        cand_values = values[allowed]
-        # Prefer the largest fractional value; break ties toward the member
-        # with the smallest objective coefficient so the incumbent is cheap.
-        order = np.lexsort((form.c[candidates], -cand_values))
-        if cand_values.max() > tol:
-            x[candidates[order[0]]] = 1.0
+        allowed = form.ub[flat] >= 0.5
+        forced = form.lb[flat] > 0.5
+        # One stable sort ranks each group's members: forced ones first in
+        # member order; then allowed ones by largest value, then smallest
+        # objective coefficient (a cheap incumbent), then member order.
+        order = np.lexsort((
+            np.where(forced, 0.0, layout.cost),
+            np.where(forced, 0.0, -values),
+            ~(allowed | forced),
+            ~forced,
+            layout.segment,
+        ))
+        first = order[layout.starts]
+        wins = forced[first] | (allowed[first] & (values[first] > tol))
+        x[flat] = 0.0
+        x[flat[first[wins]]] = 1.0
 
-    integer_mask = form.integrality & ~in_group
+    integer_mask = form.integrality & ~layout.in_group
     x[integer_mask] = np.clip(
         np.round(x[integer_mask]), form.lb[integer_mask], form.ub[integer_mask]
     )

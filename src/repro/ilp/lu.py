@@ -62,6 +62,10 @@ class DenseFactors:
     This preserves the first-generation kernel's numerical behaviour
     bit-for-bit: refactorization is ``np.linalg.inv`` and each pivot is
     the same outer-product update the old engine applied in place.
+    Because :meth:`update` writes into ``binv``, the kernel's factor
+    cache stores a :meth:`copy` of each pristine inverse and installs
+    another copy on every hit, so warm starts that share a basis share
+    one ``np.linalg.inv`` and none of them sees another's pivots.
     """
 
     kind = "dense"
@@ -85,6 +89,10 @@ class DenseFactors:
     def nnz(self) -> int:
         """Fill of the factorization (dense: the whole inverse)."""
         return self.m * self.m
+
+    def copy(self) -> "DenseFactors":
+        """An independent inverse (updates to one never reach the other)."""
+        return DenseFactors(self.binv.copy())
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``B x = rhs`` (returns a fresh array)."""
@@ -148,6 +156,10 @@ class LuFactors:
         self._letas_rev = letas[::-1]
         self._usteps = usteps          # (r, c, p, ucols, uvals, brows, bvals)
         self._usteps_rev = usteps[::-1]
+
+    def copy(self) -> "LuFactors":
+        """The factors themselves: they are never mutated, so can be shared."""
+        return self
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``B x = rhs`` sparsely (``rhs`` is not mutated).

@@ -67,6 +67,8 @@ class Model:
         self.constraints: List[Constraint] = []
         self.objective: LinExpr = LinExpr()
         self.sos1_groups: List[SosGroup] = []
+        #: variable index -> name of the SOS-1 group it belongs to
+        self._sos_owner: Dict[int, str] = {}
         self._names: Dict[str, Variable] = {}
 
     # ------------------------------------------------------------------ vars
@@ -158,18 +160,32 @@ class Model:
         name: str = "",
         weights: Optional[Sequence[float]] = None,
     ) -> SosGroup:
-        """Annotate a group of binaries as a special-ordered-set of type 1."""
+        """Annotate a group of binaries as a special-ordered-set of type 1.
+
+        Groups are disjoint: a variable may belong to one group only, and
+        appear in it once (the solver's flat group layout relies on it).
+        """
+        name = name or f"sos{len(self.sos1_groups)}"
+        members = tuple(var.index for var in variables)
+        seen = set()
         for var in variables:
             if not var.is_binary:
                 raise ModelError(
                     f"SOS-1 member {var.name!r} is not a binary variable"
                 )
+            owner = name if var.index in seen else self._sos_owner.get(var.index)
+            if owner is not None:
+                raise ModelError(
+                    f"SOS-1 member {var.name!r} already belongs to group {owner!r}"
+                )
+            seen.add(var.index)
         group = SosGroup(
-            name=name or f"sos{len(self.sos1_groups)}",
-            members=tuple(var.index for var in variables),
+            name=name,
+            members=members,
             weights=tuple(float(w) for w in weights) if weights else tuple(),
         )
         self.sos1_groups.append(group)
+        self._sos_owner.update((index, name) for index in members)
         return group
 
     # ------------------------------------------------------------- reporting

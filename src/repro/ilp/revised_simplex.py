@@ -53,16 +53,25 @@ rule shares the Bland's-rule anti-cycling fallback after a stall, and
 post-optimality canonicalization always uses the full Dantzig scan so
 the returned vertex is identical across pricing rules and solve paths.
 
-Warm solves (:meth:`RevisedSimplex.solve` with a ``basis``) refactorize
-the supplied basis, repair dual feasibility by bound flips where
-possible, and run the bounded-variable dual simplex; any numerical
-trouble (singular basis, unrepairable dual infeasibility, stalling)
-falls back to the cold primal path rather than failing the solve.
+Warm solves (:meth:`RevisedSimplex.solve` with a ``basis``) install the
+supplied basis, repair dual feasibility by bound flips where possible,
+and run the bounded-variable dual simplex; any numerical trouble
+(singular basis, unrepairable dual infeasibility, stalling) falls back
+to the cold primal path rather than failing the solve.  Installing a
+basis factorizes it only the first time the engine sees it: every engine
+keeps a small LRU of pristine factorizations, keyed by the basis, with
+the reduced costs the dual-feasibility check needs (they depend on the
+basis and ``c``, never on the bounds).  Branch-and-bound siblings share
+their parent's basis, and dives and LNS re-solve from the same few
+bases, so most warm starts install a cached copy and go straight to the
+bound flips.  A cached ``B⁻¹`` is the same ``np.linalg.inv`` of the same
+matrix, so a hit is bit-identical to a refactorization.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -84,6 +93,12 @@ FREE = 3  # nonbasic at value zero (no finite bound to rest on)
 _PTOL = 1e-7
 #: dual feasibility tolerance used when accepting a warm basis
 _DTOL = 1e-7
+
+#: warm-start factorizations an engine keeps (least recently used goes
+#: first), and the stored floats (factor fill plus reduced costs) they
+#: may hold together, so a large dense ``B⁻¹`` cannot pin many copies.
+_FACTOR_CACHE_ENTRIES = 32
+_FACTOR_CACHE_FLOATS = 1 << 20
 
 _FACTORIZATIONS = ("auto", "dense", "lu")
 _PRICINGS = ("dantzig", "devex")
@@ -269,6 +284,9 @@ class RevisedSimplex:
         self._solve_btran_nnz = 0
         self._devex_w: Optional[np.ndarray] = None
         self._dual_w: Optional[np.ndarray] = None
+        # basis bytes -> (pristine factor, warm-start reduced costs, floats)
+        self._factor_cache: "OrderedDict[bytes, Tuple[Any, np.ndarray, int]]" = OrderedDict()
+        self._factor_cache_floats = 0
 
     def _build_csc(self, form: StandardForm) -> None:
         ub, eq = form.A_ub_sparse, form.A_eq_sparse
@@ -568,15 +586,39 @@ class RevisedSimplex:
             )
         if factor is None:
             return False
+        self._install(factor, trigger)
+        return True
+
+    def _install(self, factor, trigger: Optional[str]) -> None:
+        """Make ``factor`` the basis representation, with an empty eta file.
+
+        A fresh factorization counts as a refactorization under
+        ``trigger``; a copy taken from the factor cache (``None``) does not.
+        """
         self._factor = factor
         self._etas = []
         self._eta_nnz = 0
+        self._pivots_since_refactor = 0
+        if trigger is None:
+            return
         self.refactorizations += 1
         self._refactors_this_solve += 1
         self.refactor_triggers[trigger] = self.refactor_triggers.get(trigger, 0) + 1
         self._solve_triggers[trigger] = self._solve_triggers.get(trigger, 0) + 1
-        self._pivots_since_refactor = 0
-        return True
+
+    def _remember(self, key: bytes, d: np.ndarray) -> None:
+        """Cache the just-built pristine factor and ``d`` under ``key``."""
+        size = self._factor.nnz + d.size
+        if size > _FACTOR_CACHE_FLOATS:
+            return
+        d.flags.writeable = False
+        cache = self._factor_cache
+        cache[key] = (self._factor.copy(), d, size)
+        self._factor_cache_floats += size
+        while (len(cache) > _FACTOR_CACHE_ENTRIES
+               or self._factor_cache_floats > _FACTOR_CACHE_FLOATS):
+            _, (_, _, dropped) = cache.popitem(last=False)
+            self._factor_cache_floats -= dropped
 
     def _cold_start(self) -> None:
         """All-slack basis; structural variables rest on their nearest bound."""
@@ -590,18 +632,12 @@ class RevisedSimplex:
         self.status = status
         # The all-slack basis is the identity — no need to eliminate.
         if self.mode == "dense":
-            self._factor = DenseFactors.identity(self.m)
+            factor = DenseFactors.identity(self.m)
         else:
-            self._factor = factorize_markowitz(
+            factor = factorize_markowitz(
                 [self._slack_columns[i] for i in range(self.m)], self.m
             )
-        self._etas = []
-        self._eta_nnz = 0
-        self.refactorizations += 1
-        self._refactors_this_solve += 1
-        self.refactor_triggers["start"] = self.refactor_triggers.get("start", 0) + 1
-        self._solve_triggers["start"] = self._solve_triggers.get("start", 0) + 1
-        self._pivots_since_refactor = 0
+        self._install(factor, "start")
         self._recompute_basics()
 
     def _warm_start(self, state: BasisState) -> bool:
@@ -613,11 +649,11 @@ class RevisedSimplex:
         basis = np.array(state.basis, dtype=np.int64, copy=True)
         if np.any(basis < 0) or np.any(basis >= self.total):
             return False
-        if np.unique(basis).shape[0] != self.m:
-            return False
-        status = np.asarray(state.status, dtype=np.int8).copy()
         is_basic = np.zeros(self.total, dtype=bool)
         is_basic[basis] = True
+        if np.count_nonzero(is_basic) != self.m:  # a column listed twice
+            return False
+        status = np.asarray(state.status, dtype=np.int8).copy()
         # Columns recorded basic that are not in the basis (a state from
         # a foreign model) rest on a bound like any other nonbasic.
         status[(status == BASIC) & ~is_basic] = AT_LOWER
@@ -636,13 +672,25 @@ class RevisedSimplex:
         status[free] = AT_LOWER
         self.basis = basis
         self.status = status
-        self._factor = None
-        if not self._refactorize():
-            return False
+        key = basis.tobytes()
+        cached = self._factor_cache.get(key)
+        if cached is None:
+            self._factor = None
+            if not self._refactorize():
+                return False
+            y = self._btran(self.c[self.basis])
+            d = self._reduced_costs(self.c, y)
+            self._remember(key, d)
+        else:
+            # Seen before (a sibling, or a dive or LNS re-solve): install a
+            # copy of the pristine factor — pivots update a dense B⁻¹ in
+            # place — and reuse the reduced costs; neither depends on the
+            # bounds.
+            self._factor_cache.move_to_end(key)
+            factor, d, _ = cached
+            self._install(factor.copy(), None)
         # Dual feasibility: repair by bound flips where a finite opposite
         # bound exists; give up (cold start) when it does not.
-        y = self._btran(self.c[self.basis])
-        d = self._reduced_costs(self.c, y)
         movable = (self.upper - self.lower > self.options.tolerance) & (self.status != BASIC)
         bad_lower = movable & (self.status == AT_LOWER) & (d < -_DTOL)
         if np.any(bad_lower & ~np.isfinite(self.upper)):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.ilp import (
     INFEASIBLE,
@@ -19,6 +23,9 @@ from repro.ilp import (
     highs_available,
     quicksum,
 )
+from repro.ilp.branch_bound import apply_objective_cutoff, structural_floor
+from repro.ilp.heuristics import SosLayout
+from repro.ilp.standard_form import StandardForm
 
 
 def knapsack_model(values, weights, capacity):
@@ -45,6 +52,222 @@ def assignment_model(cost, capacity):
         quicksum(cost[i][j] * z[i][j] for i in range(n_items) for j in range(n_bins))
     )
     return m, z
+
+
+# --------------------------------------------------------------------------
+# Reference oracles: the per-group loops the tree ran before the flat
+# SosLayout.  ``groups`` is a list of member-index arrays.
+
+
+def structural_floor_loop(groups, form, lb, ub):
+    """``(floor, per-group minima)``; ``(inf, None)`` for an emptied group."""
+    c = form.c
+    in_group = np.zeros(c.size, dtype=bool)
+    for members in groups:
+        in_group[members] = True
+    base = float(np.where(c >= 0, c * lb, c * ub)[~in_group].sum())
+    minima = []
+    for members in groups:
+        selectable = members[ub[members] > 0.5]
+        if selectable.size == 0:
+            return math.inf, None
+        forced = selectable[lb[selectable] > 0.5]
+        minima.append(float(c[forced].sum()) if forced.size
+                      else float(c[selectable].min()))
+        base += minima[-1]
+    return base + form.objective_offset, minima
+
+
+def objective_cutoff_loop(groups, form, cutoff, lb, ub, tol, counts):
+    """The filter's loop; its floor adds the group minima one at a time,
+    in group order, exactly as the structural floor does."""
+    c = form.c
+    in_group = np.zeros(c.size, dtype=bool)
+    for members in groups:
+        in_group[members] = True
+    free_integers = np.where(form.integrality & ~in_group)[0]
+    base = float(np.where(c >= 0, c * lb, c * ub)[~in_group].sum())
+    minima = []
+    for members in groups:
+        selectable = members[ub[members] > 0.5]
+        if selectable.size == 0:
+            return False, lb, ub
+        forced = selectable[lb[selectable] > 0.5]
+        minima.append(float(c[forced].sum()) if forced.size
+                      else float(c[selectable].min()))
+        base += minima[-1]
+    base += form.objective_offset
+    if not math.isfinite(base):
+        return True, lb, ub
+    if base > cutoff + 1e-12:
+        counts["objective_cutoff_prunes"] = counts.get("objective_cutoff_prunes", 0) + 1
+        return False, lb, ub
+    slack = cutoff - base
+    new_lb = new_ub = None
+    for members, group_min in zip(groups, minima):
+        open_members = members[(ub[members] > 0.5) & (lb[members] < 0.5)]
+        too_dear = open_members[c[open_members] - group_min > slack + 1e-9]
+        if too_dear.size:
+            if new_ub is None:
+                new_lb, new_ub = lb.copy(), ub.copy()
+            new_ub[too_dear] = 0.0
+            counts["objective_cutoff_fixings"] = (
+                counts.get("objective_cutoff_fixings", 0) + int(too_dear.size)
+            )
+    for j in free_integers:
+        width = ub[j] - lb[j]
+        if width <= tol or abs(c[j]) * width <= slack + 1e-9:
+            continue
+        span = math.floor(slack / abs(c[j]) + tol)
+        if new_ub is None:
+            new_lb, new_ub = lb.copy(), ub.copy()
+        if c[j] >= 0:
+            new_ub[j] = min(new_ub[j], lb[j] + span)
+        else:
+            new_lb[j] = max(new_lb[j], ub[j] - span)
+        if new_ub[j] < new_lb[j] - tol:
+            return False, lb, ub
+    if new_ub is None:
+        return True, lb, ub
+    return True, new_lb, new_ub
+
+
+def select_sos_group_loop(groups, x, lb, ub, tol):
+    best_group = None
+    best_score = tol
+    for members in groups:
+        if np.all(ub[members] - lb[members] < tol):
+            continue
+        values = x[members]
+        score = float(np.minimum(values, 1.0 - values).sum())
+        if score > best_score:
+            best_score = score
+            best_group = (tuple(members.tolist()), values)
+    return best_group
+
+
+# Few distinct values, so ties in costs, LP values and scores are common.
+COSTS = st.sampled_from([-2.5, -1.0, -0.1, 0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 1.0, 7.0])
+VALUES = st.sampled_from([0.0, 1e-7, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9, 1.0])
+# A member's box: open, emptied by ``ub`` (forbidden) or forced by ``lb``.
+MEMBER_BOX = st.sampled_from([(0.0, 1.0), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0)])
+
+
+@st.composite
+def group_boxes(draw):
+    """Disjoint groups of up to seven members (the bank-type rows of the
+    mapping models are that small), free integers and continuous columns,
+    in a random box, with an LP point and an offset for the cutoff."""
+    sizes = draw(st.lists(st.integers(1, 7), max_size=5))
+    free = draw(st.integers(0, 3))
+    continuous = draw(st.integers(1, 2))
+    n = sum(sizes) + free + continuous
+    order = draw(st.permutations(range(n)))
+    groups, at = [], 0
+    for size in sizes:
+        groups.append(np.array(order[at:at + size], dtype=np.int64))
+        at += size
+    integers = list(order[at:at + free])
+    lb, ub = np.zeros(n), np.ones(n)
+    for members in groups:
+        for j in members:
+            lb[j], ub[j] = draw(MEMBER_BOX)
+    for j in integers:
+        lb[j] = draw(st.integers(-3, 1))
+        ub[j] = lb[j] + draw(st.integers(0, 6))
+    for j in order[at + free:]:
+        lb[j], ub[j] = draw(st.sampled_from([(-1.0, 2.0), (0.0, 0.5), (1.0, 1.0)]))
+    integrality = np.zeros(n, dtype=bool)
+    integrality[[j for members in groups for j in members] + integers] = True
+    form = StandardForm(
+        c=np.array([draw(COSTS) for _ in range(n)]),
+        A_ub=np.zeros((0, n)), b_ub=np.zeros(0),
+        A_eq=np.zeros((0, n)), b_eq=np.zeros(0),
+        lb=lb, ub=ub, integrality=integrality,
+        objective_offset=draw(st.sampled_from([0.0, 0.7, -1.3])),
+    )
+    x = np.array([draw(VALUES) for _ in range(n)])
+    # The cutoff sits ``shift`` above the floor: a fixed offset, or one on
+    # either side of a tolerance edge of the filter — a cost difference
+    # between two columns (a member's excess over its group minimum) or a
+    # multiple of one cost (a free integer's span).
+    c = form.c
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    edge = draw(st.sampled_from([-5e-10, 0.0, 5e-10]))
+    shift = draw(st.one_of(
+        st.sampled_from([-1.0, 0.0, 1e-13, 0.05, 1.0 / 3.0, 1.0, 4.0, 20.0]),
+        st.just(abs(c[a] - c[b]) + edge),
+        st.integers(1, 3).map(lambda k: k * abs(c[a]) + edge),
+    ))
+    return form, groups, x, shift
+
+
+_oracle_settings = settings(max_examples=300, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestGroupPassesMatchTheLoops:
+    @_oracle_settings
+    @given(group_boxes())
+    def test_structural_floor(self, case):
+        form, groups, _, _ = case
+        layout = SosLayout(groups, form.c)
+        floor, minima = structural_floor(layout, form, form.lb, form.ub)
+        expected_floor, expected_minima = structural_floor_loop(
+            groups, form, form.lb, form.ub
+        )
+        assert floor == expected_floor
+        if expected_minima is None:
+            assert minima is None
+        else:
+            assert minima.tolist() == expected_minima
+
+    @_oracle_settings
+    @given(group_boxes())
+    def test_objective_cutoff(self, case):
+        form, groups, _, shift = case
+        lb, ub = form.lb, form.ub
+        floor, _ = structural_floor_loop(groups, form, lb, ub)
+        cutoff = (floor if math.isfinite(floor) else 0.0) + shift
+        expected_counts, got_counts = {}, {}
+        expected = objective_cutoff_loop(groups, form, cutoff, lb, ub, 1e-6,
+                                         expected_counts)
+        got = apply_objective_cutoff(SosLayout(groups, form.c), form, cutoff,
+                                     lb, ub, 1e-6, got_counts)
+        assert got[0] == expected[0]
+        np.testing.assert_array_equal(got[1], expected[1])
+        np.testing.assert_array_equal(got[2], expected[2])
+        # Unchanged boxes come back as the very same arrays.
+        assert (got[2] is ub) == (expected[2] is ub)
+        assert got_counts == expected_counts
+
+    @_oracle_settings
+    @given(group_boxes())
+    def test_select_sos_group(self, case):
+        form, groups, x, _ = case
+        solver = BranchAndBoundSolver()
+        tol = solver.options.integrality_tol
+        expected = select_sos_group_loop(groups, x, form.lb, form.ub, tol)
+        got = solver._select_sos_group(SosLayout(groups, form.c), x, form.lb, form.ub)
+        if expected is None:
+            assert got is None
+        else:
+            assert tuple(got[0].tolist()) == expected[0]
+            np.testing.assert_array_equal(got[1], expected[1])
+
+    def test_select_sos_group_rounds_scores_like_the_loop(self):
+        # Same LP values in a different order: summed member by member the
+        # first group scores 0.6000000000000001 and the second 0.6, so the
+        # loop branches on the first; a sum that starts from a different
+        # member (``np.add.reduceat``) would flip the choice.
+        groups = [np.array([0, 1, 2]), np.array([3, 4, 5])]
+        x = np.array([0.1, 0.2, 0.3, 0.3, 0.2, 0.1])
+        lb, ub = np.zeros(6), np.ones(6)
+        got = BranchAndBoundSolver()._select_sos_group(
+            SosLayout(groups, np.zeros(6)), x, lb, ub
+        )
+        assert select_sos_group_loop(groups, x, lb, ub, 1e-6)[0] == (0, 1, 2)
+        assert tuple(got[0].tolist()) == (0, 1, 2)
 
 
 class TestKnapsackAndBasics:

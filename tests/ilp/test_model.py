@@ -96,6 +96,25 @@ class TestSosGroups:
         assert m.sos1_groups[0].name == "g"
 
 
+    def test_sos_groups_must_be_disjoint(self):
+        m = Model()
+        xs = m.add_binaries(["a", "b", "c"])
+        m.add_sos1(xs[:2], name="first")
+        with pytest.raises(ModelError, match="'b' already belongs to group 'first'"):
+            m.add_sos1(xs[1:], name="second")
+        # The rejected group left nothing behind: 'c' is still free.
+        assert len(m.sos1_groups) == 1
+        m.add_sos1([xs[2]], name="third")
+        assert [g.name for g in m.sos1_groups] == ["first", "third"]
+
+    def test_sos_member_listed_twice_rejected(self):
+        m = Model()
+        x, y = m.add_binaries(["x", "y"])
+        with pytest.raises(ModelError, match="'x' already belongs to group 'g'"):
+            m.add_sos1([x, y, x], name="g")
+        assert m.sos1_groups == []
+
+
 class TestFeasibilityChecking:
     def test_feasible_assignment_accepted(self):
         m = Model()

@@ -234,3 +234,133 @@ class TestBasisState:
         cold = engine.solve(form.lb, ub2)
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-7)
+
+
+def weighted_assignment_relaxation(seed=3, items=6, bins=4):
+    """LP relaxation of a weighted assignment model, as branch and bound sees it.
+
+    Every item row is an exactly-one group; weighted bin capacities make
+    the root vertex fractional, so fixing an item to a bin (an SOS
+    child) costs the dual simplex a few pivots.
+    """
+    rng = np.random.RandomState(seed)
+    model = Model("weighted-assignment")
+    z = [[model.add_continuous(f"z[{i},{j}]", lb=0.0, ub=1.0) for j in range(bins)]
+         for i in range(items)]
+    weight = rng.uniform(1.0, 4.0, size=items)
+    for row in z:
+        model.add_constraint(quicksum(row) == 1.0)
+    for j in range(bins):
+        model.add_constraint(
+            quicksum(float(weight[i]) * z[i][j] for i in range(items))
+            <= float(weight.sum()) / bins + 0.5
+        )
+    cost = rng.uniform(1.0, 9.0, size=(items, bins))
+    model.set_objective(quicksum(float(cost[i, j]) * z[i][j]
+                                 for i in range(items) for j in range(bins)))
+    return to_standard_form(model), bins
+
+
+def sibling_boxes(form, bins, item=0):
+    """One child box per member of ``item``'s group: that member fixed to one."""
+    boxes = []
+    for chosen in range(bins):
+        lb, ub = form.lb.copy(), form.ub.copy()
+        group = slice(item * bins, (item + 1) * bins)
+        lb[group] = 0.0
+        ub[group] = 0.0
+        lb[item * bins + chosen] = ub[item * bins + chosen] = 1.0
+        boxes.append((lb, ub))
+    return boxes
+
+
+def _fingerprint(result):
+    return (
+        result.status,
+        result.iterations,
+        result.objective,
+        result.x.tobytes(),
+        result.basis.basis.tobytes(),
+        result.basis.status.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("factorization", ["dense", "lu"])
+class TestFactorCache:
+    def test_siblings_match_fresh_engines_byte_for_byte(self, factorization):
+        form, bins = weighted_assignment_relaxation()
+        options = RevisedOptions(factorization=factorization)
+        engine = RevisedSimplex(form, options)
+        parent = engine.solve(form.lb, form.ub)
+        box_a, box_b = sibling_boxes(form, bins)[:2]
+        results = [engine.solve(*box, basis=parent.basis)
+                   for box in (box_a, box_b, box_a)]
+        for box, result in zip((box_a, box_b, box_a), results):
+            fresh = RevisedSimplex(form, options).solve(*box, basis=parent.basis)
+            assert result.warm and fresh.warm
+            assert result.iterations > 0  # the siblings really pivot
+            assert _fingerprint(result) == _fingerprint(fresh)
+            assert np.array_equal(result.reduced_costs, fresh.reduced_costs)
+        # The first sibling factorized the parent basis; the other two
+        # installed the cached factor instead of refactorizing.
+        assert results[0].refactor_triggers.get("start") == 1
+        assert "start" not in results[1].refactor_triggers
+        assert "start" not in results[2].refactor_triggers
+
+    def test_cache_never_exceeds_its_cap(self, factorization, monkeypatch):
+        from repro.ilp import revised_simplex
+
+        monkeypatch.setattr(revised_simplex, "_FACTOR_CACHE_ENTRIES", 2)
+        form, bins = weighted_assignment_relaxation()
+        options = RevisedOptions(factorization=factorization)
+        scout = RevisedSimplex(form, options)
+        parent = scout.solve(form.lb, form.ub)
+        bases = [parent.basis] + [
+            scout.solve(*box, basis=parent.basis).basis
+            for box in sibling_boxes(form, bins)
+        ]
+        engine = RevisedSimplex(form, options)
+        keys = []
+        for basis in bases:
+            for box in sibling_boxes(form, bins, item=1):
+                engine.solve(*box, basis=basis)
+                assert len(engine._factor_cache) <= 2
+            keys.append(basis.basis.tobytes())
+        assert len(set(keys)) > 2  # the cap was really exercised
+        # Least recently used goes first: the last two bases used stay.
+        recent = list(dict.fromkeys(reversed(keys)))[:2]
+        assert list(engine._factor_cache) == recent[::-1]
+        # The float budget bounds the cache as well.
+        engine = RevisedSimplex(form, options)
+        engine.solve(*sibling_boxes(form, bins, item=2)[0], basis=bases[0])
+        budget = engine._factor_cache_floats
+        monkeypatch.setattr(revised_simplex, "_FACTOR_CACHE_FLOATS", budget)
+        for basis in bases[1:]:
+            engine.solve(*sibling_boxes(form, bins, item=2)[0], basis=basis)
+            assert 1 <= len(engine._factor_cache) <= 2
+            assert engine._factor_cache_floats <= budget
+            assert engine._factor_cache_floats == sum(
+                size for _, _, size in engine._factor_cache.values()
+            )
+
+
+class TestCachedInverseIsPristine:
+    def test_later_pivots_never_touch_a_cached_inverse(self):
+        form, bins = weighted_assignment_relaxation()
+        engine = RevisedSimplex(form, RevisedOptions(factorization="dense"))
+        parent = engine.solve(form.lb, form.ub)
+        boxes = sibling_boxes(form, bins)
+        engine.solve(*boxes[0], basis=parent.basis)
+        ((key, (factor, d, _)),) = engine._factor_cache.items()
+        snapshot = factor.binv.copy()
+        # The basis matrix [A | I] restricted to the cached basis.
+        W = np.hstack([np.vstack([form.A_ub, form.A_eq]), np.eye(engine.m)])
+        B = W[:, np.frombuffer(key, dtype=np.int64)]
+        assert np.array_equal(snapshot, np.linalg.inv(B))
+        pivots = 0
+        for box in boxes[1:] + boxes[:1]:
+            pivots += engine.solve(*box, basis=parent.basis).iterations
+            assert engine._factor is not factor
+        assert pivots > 0  # the installed copies were updated in place
+        assert np.array_equal(factor.binv, snapshot)
+        assert not d.flags.writeable
