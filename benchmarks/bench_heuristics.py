@@ -1,22 +1,20 @@
 #!/usr/bin/env python
-"""Heuristic portfolio benchmark: exact tree vs the ``--fast`` contract.
+"""Exact vs fast benchmark: the proving tree vs the ``--fast`` contract.
 
 Runs every Table 3 design point through the two-stage mapper twice:
 
-* **exact** — ``bnb-pure`` with the primal-heuristic portfolio (diving +
-  LNS) feeding incumbents into the tree, proving optimality, and
+* **exact** — ``bnb-pure`` proving optimality, and
 * **fast** — ``mode="fast"`` with a 5% optimality-gap contract: the
   Lagrangian fast lane first, the gap-limited exact tree as fallback.
 
-Each row reports both wall times, the achieved (certified) gap of the
-fast run, and where the exact tree's incumbents came from (portfolio
-heuristics vs LP-integral nodes).  The document lands in
-``BENCH_heuristics.json`` (``--artifact-dir``, default
+Each row reports both wall times, the exact run's tree work, and the
+fast run's lane, incumbents and achieved (certified) gap.  The document
+lands in ``BENCH_heuristics.json`` (``--artifact-dir``, default
 ``bench-artifacts``); ``scripts/bench_compare.py --check`` validates it
 and the CI smoke job diffs a fresh ``--quick`` run against the committed
 baseline on the *deterministic* counters (exact node counts, certified
-rows, gap contract, and the exact runs' total LP solves and pivots,
-dives and LNS included), never on wall time.
+rows, gap contract, and the exact runs' total LP solves and pivots),
+never on wall time.
 
 Usage::
 
@@ -69,8 +67,6 @@ def _run_point(point, seed: int) -> Dict[str, Any]:
     gap = fast_stats.get("gap")
     gap = float(gap) if isinstance(gap, (int, float)) else None
 
-    incumbents = int(stats.get("incumbent_updates", 0))
-    heuristic = int(stats.get("heuristic_incumbents", 0))
     return {
         "label": point.label(),
         "family": _FAMILY_OF_POINT.get(point.index, "sweep"),
@@ -78,14 +74,12 @@ def _run_point(point, seed: int) -> Dict[str, Any]:
         "exact_objective": exact.cost.weighted_total,
         "exact_nodes": int(stats.get("nodes_explored", 0)),
         "lp_solves": int(stats.get("lp_solves", 0)),
-        "dive_lp_solves": int(stats.get("dive_lp_solves", 0)),
         "simplex_iterations": int(stats.get("simplex_iterations", 0)),
-        "incumbent_updates": incumbents,
-        "heuristic_incumbents": heuristic,
-        "tree_incumbents": max(0, incumbents - heuristic),
-        "dive_pivots": int(stats.get("dive_pivots", 0)),
-        "lns_rounds": int(stats.get("lns_rounds", 0)),
+        "incumbent_updates": int(stats.get("incumbent_updates", 0)),
         "fast_wall_seconds": fast_wall,
+        # Incumbents the fast lane's guided greedy found (0 when the
+        # gap-limited tree answered instead).
+        "heuristic_incumbents": int(fast_stats.get("heuristic_incumbents", 0)),
         "fast_objective": fast.cost.weighted_total,
         "fast_backend": str(fast_stats.get("backend", "")),
         "fast_certified": fast_stats.get("backend") == "fast-heuristic",
@@ -130,10 +124,7 @@ def run(quick: bool, seed: int = 0) -> Dict[str, Any]:
         "total_exact_nodes": sum(r["exact_nodes"] for r in rows),
         "total_heuristic_incumbents": sum(r["heuristic_incumbents"] for r in rows),
         "total_lp_solves": sum(r["lp_solves"] for r in rows),
-        "total_dive_lp_solves": sum(r["dive_lp_solves"] for r in rows),
         "total_simplex_iterations": sum(r["simplex_iterations"] for r in rows),
-        "total_dive_pivots": sum(r["dive_pivots"] for r in rows),
-        "total_lns_rounds": sum(r["lns_rounds"] for r in rows),
         "num_fast_certified": sum(int(r["fast_certified"]) for r in rows),
         "all_gaps_ok": all(r["gap_ok"] for r in rows),
         "families": families,
@@ -157,7 +148,7 @@ def render(payload: Dict[str, Any]) -> str:
         )
     lines.append(
         f"totals: {payload['total_exact_nodes']} exact nodes, "
-        f"{payload['total_heuristic_incumbents']} portfolio incumbents, "
+        f"{payload['total_heuristic_incumbents']} fast-lane incumbents, "
         f"{payload['num_fast_certified']}/{payload['num_points']} fast-lane "
         f"certified, gaps {'OK' if payload['all_gaps_ok'] else 'VIOLATED'}"
     )
@@ -166,7 +157,7 @@ def render(payload: Dict[str, Any]) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="benchmark the heuristic portfolio and the fast mode")
+        description="benchmark the exact tree against the fast mode")
     parser.add_argument("--quick", action="store_true",
                         help="first six design points only (CI smoke)")
     parser.add_argument("--seed", type=int, default=0,

@@ -15,8 +15,8 @@ Two modes:
     except for ``lp_kernel`` artifacts, which gate on total pivots (a
     deterministic counter, comparable across machines) instead.
     ``table3`` and ``heuristics`` artifacts over the same points also
-    gate, with no tolerance, on their total LP work: LP solves and
-    pivots, the dives' and LNS's included, may not exceed the baseline.
+    gate, with no tolerance, on their total LP work: every LP solve and
+    pivot the solver ran may not exceed the baseline.
 
 Examples::
 
@@ -42,7 +42,6 @@ TOTAL_KEYS = (
     "wall_seconds",
     "serial_seconds",
     "total_lp_solves",
-    "total_dive_lp_solves",
     "total_nodes_explored",
     "total_simplex_iterations",
     "total_warm_lp_solves",
@@ -58,16 +57,14 @@ TOTAL_KEYS = (
     "total_presolve_cols_fixed",
     "total_exact_nodes",
     "total_heuristic_incumbents",
-    "total_dive_pivots",
-    "total_lns_rounds",
     "num_fast_certified",
 )
 
 #: Solver-work keys a table3 artifact must carry since the revised-simplex
 #: kernel landed (the bench-smoke job gates on their presence).
 TABLE3_KEYS = ("total_warm_lp_solves", "total_basis_reuses",
-               "total_refactorizations", "total_dive_lp_solves",
-               "total_dive_pivots")
+               "total_refactorizations", "total_lp_solves",
+               "total_simplex_iterations")
 
 #: Aggregate counters an lp_kernel artifact (the LP kernel
 #: micro-benchmark, ``benchmarks/bench_lp_kernel.py``) must carry.
@@ -83,14 +80,15 @@ LP_KERNEL_KEYS = ("total_pivots", "total_etas_applied",
 #: counts and the gap contract — not wall time.
 HEURISTICS_KEYS = ("gap_limit", "total_exact_nodes",
                    "total_heuristic_incumbents", "num_fast_certified",
-                   "all_gaps_ok", "total_lp_solves", "total_dive_lp_solves",
-                   "total_simplex_iterations", "total_dive_pivots")
+                   "all_gaps_ok", "total_lp_solves",
+                   "total_simplex_iterations")
 
-#: Total LP work of a table3 or heuristics artifact: (what, summed keys).
-#: Deterministic for a fixed set of points, so the gate has no tolerance.
+#: Total LP work of a table3 or heuristics artifact: (what, key).  The
+#: tree counts every LP it runs, so each is one counter; deterministic for
+#: a fixed set of points, so the gate has no tolerance.
 LP_WORK = (
-    ("LP solves", ("total_lp_solves", "total_dive_lp_solves")),
-    ("pivots", ("total_simplex_iterations", "total_dive_pivots")),
+    ("LP solves", "total_lp_solves"),
+    ("pivots", "total_simplex_iterations"),
 )
 
 #: Keys a serve_scale artifact (``benchmarks/bench_serve_scale.py``)
@@ -294,11 +292,10 @@ def _delta(base: Optional[float], cand: Optional[float]) -> str:
 
 def _lp_work_regressions(baseline: Dict[str, Any],
                          candidate: Dict[str, Any]) -> List[str]:
-    """LP-work sums of ``candidate`` that exceed ``baseline``'s.
+    """LP-work totals of ``candidate`` that exceed ``baseline``'s.
 
     Only artifacts over the same labels are comparable; otherwise, or
-    when either artifact predates a summed key, the gate is skipped with
-    a note.
+    when either artifact lacks a total, the gate is skipped with a note.
     """
     labels = [{row.get("label") for row in doc.get("results", [])}
               for doc in (baseline, candidate)]
@@ -307,16 +304,15 @@ def _lp_work_regressions(baseline: Dict[str, Any],
               "points")
         return []
     regressions = []
-    for what, keys in LP_WORK:
-        if any(key not in doc for doc in (baseline, candidate) for key in keys):
+    for what, key in LP_WORK:
+        if any(key not in doc for doc in (baseline, candidate)):
             print(f"\nnote: LP-work gate on {what} skipped: "
-                  f"{' + '.join(keys)} missing from an artifact")
+                  f"{key} missing from an artifact")
             continue
-        base = sum(int(baseline[key]) for key in keys)
-        cand = sum(int(candidate[key]) for key in keys)
+        base, cand = int(baseline[key]), int(candidate[key])
         if cand > base:
             regressions.append(f"candidate total {what} {cand} "
-                               f"({' + '.join(keys)}) exceed baseline {base}")
+                               f"({key}) exceed baseline {base}")
     return regressions
 
 
@@ -390,7 +386,7 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
         if baseline.get("name") == candidate.get("name") == "heuristics":
             # Heuristics artifacts gate on the exact tree's node counts
             # and the fast lane's certification rate — both deterministic
-            # under the seeded portfolio — never on wall time.
+            # for a fixed set of points — never on wall time.
             base_nodes = float(baseline.get("total_exact_nodes") or 0.0)
             cand_nodes = float(candidate.get("total_exact_nodes") or 0.0)
             if base_nodes > 0 and \

@@ -360,7 +360,6 @@ class Table3Harness:
             # artifacts (e.g. warm+presolve vs the legacy cold path) can be
             # diffed by scripts/bench_compare.py.
             "total_lp_solves": stat_total("lp_solves"),
-            "total_dive_lp_solves": stat_total("dive_lp_solves"),
             "total_nodes_explored": stat_total("nodes_explored"),
             "total_simplex_iterations": stat_total("simplex_iterations"),
             "total_warm_lp_solves": stat_total("warm_lp_solves"),
@@ -374,8 +373,6 @@ class Table3Harness:
             "total_presolve_rows_dropped": stat_total("presolve_rows_dropped"),
             "total_presolve_cols_fixed": stat_total("presolve_cols_fixed"),
             "total_heuristic_incumbents": stat_total("heuristic_incumbents"),
-            "total_dive_pivots": stat_total("dive_pivots"),
-            "total_lns_rounds": stat_total("lns_rounds"),
             "results": [
                 {
                     "label": row.point.label(),

@@ -259,9 +259,6 @@ class MemoryMapper:
             "pricing_pivots": merge_counts("pricing_pivots"),
             "incumbent_updates": total("incumbent_updates"),
             "heuristic_incumbents": total("heuristic_incumbents"),
-            "dive_lp_solves": total("dive_lp_solves"),
-            "dive_pivots": total("dive_pivots"),
-            "lns_rounds": total("lns_rounds"),
             "presolve_rows_dropped": presolve_rows,
             "presolve_cols_fixed": presolve_cols,
             "warm_retries": context is not None,

@@ -168,18 +168,13 @@ _BNB_OPTIONS: Dict[str, str] = {
     "abs_gap": "absolute optimality gap",
     "integrality_tol": "integrality tolerance",
     "root_heuristic": "seed the incumbent with the greedy SOS heuristic",
-    "heuristics": "primal heuristic portfolio: auto, root or off",
-    "heuristic_freq": "re-run a cheap dive every N explored nodes (0 = root only)",
-    "heuristic_seed": "seed of the LNS destroy/repair schedule",
     "gap_limit": "stop once the incumbent is within this relative gap (fast mode)",
-    "node_rounding": "try rounding every node relaxation",
     "warm_start": "initial incumbent assignment (variable-indexed vector)",
     "presolve": "run the presolve reductions before the tree search",
     "node_presolve": "bound propagation at every node (prunes without LP)",
     "objective_cutoff": "per-node incumbent-cutoff filtering (prunes without LP)",
     "fix_zero": "variable indices forced to zero at the root",
     "context": "SolveContext carrying warm starts and pseudo-costs",
-    "log": "print per-node progress",
 }
 
 

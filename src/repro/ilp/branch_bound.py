@@ -47,15 +47,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .context import SolveContext
-from .diving import dive, rins_dive
 from .errors import ModelError
 from .heuristics import SosLayout, round_with_sos, sos_greedy_assignment
-from .lns import LnsOptions, lns_search
 from .model import Model
 from .presolve import Postsolve, presolve as run_presolve, propagate_bounds
 from .revised_simplex import BasisState, RevisedOptions, RevisedSimplex
 # Not called here any more; importable from this module because the
-# traced benchmark run (perfbench/map_corpus.py) wraps it by this name.
+# traced benchmark run (perfbench/map_corpus.py) wraps them by these names.
+from .diving import dive, rins_dive  # noqa: F401
+from .lns import lns_search  # noqa: F401
 from .scipy_backend import solve_lp_highs  # noqa: F401
 from .simplex import SimplexOptions, solve_lp_simplex
 from .solution import (
@@ -110,24 +110,11 @@ class BnBOptions:
     context: Optional[SolveContext] = None
     #: run the greedy SOS heuristic at the root to obtain an incumbent.
     root_heuristic: bool = True
-    #: primal heuristic portfolio (diving + RINS + LNS off the warm LP
-    #: kernel): "auto" enables it on SOS models, "root" forces it on,
-    #: "off" disables it.  The portfolio only *injects* incumbents through
-    #: the strict improvement filter, so the proved optimum is unchanged —
-    #: a better incumbent just prunes more of the tree.
-    heuristics: str = "auto"
-    #: additionally re-run a cheap dive every N explored nodes
-    #: (0 = root portfolio only).
-    heuristic_freq: int = 0
-    #: seed of the LNS destroy/repair schedule (deterministic per seed).
-    heuristic_seed: int = 0
     #: stop with status "feasible" once the incumbent objective is within
     #: this relative gap of the best bound — the ``--fast`` contract:
     #: ``objective <= bound * (1 + gap_limit)``.  ``None`` (default)
     #: solves to proved optimality.
     gap_limit: Optional[float] = None
-    #: try rounding the relaxation of every node into an incumbent.
-    node_rounding: bool = True
     #: optional warm-start assignment (indexed by variable index).
     warm_start: Optional[np.ndarray] = None
     #: per-solve options of the dense tableau kernel (``lp_backend=
@@ -148,7 +135,6 @@ class BnBOptions:
     #: revised kernel's dual-simplex warm start); fingerprints must be
     #: identical with this off — it only changes solver effort.
     reuse_basis: bool = True
-    log: bool = False
 
 
 def structural_floor(
@@ -440,12 +426,6 @@ class BranchAndBoundSolver:
         if branching == "sos1" and not model.sos1_groups:
             raise ModelError("SOS-1 branching requested but the model has no groups")
 
-        if options.heuristics not in ("auto", "off", "root"):
-            raise ModelError(f"unknown heuristics mode {options.heuristics!r}")
-        heuristics_on = options.heuristics == "root" or (
-            options.heuristics == "auto" and bool(model.sos1_groups)
-        )
-
         form = context.standard_form(model)
         names = {i: n for i, n in enumerate(form.variable_names)}
         n = form.num_variables
@@ -547,9 +527,8 @@ class BranchAndBoundSolver:
         # ------------------------------------------------- objective cutoff
         # The reduced (exactly-one) SOS groups as one flat layout: what
         # the cutoff filter, the structural floor and SOS branching read
-        # at every node, and the dives and LNS walk group by group.
+        # at every node.
         layout = SosLayout(reduced_groups, rform.c)
-        group_members = layout.groups
 
         # ------------------------------------------------------------ warm start
         incumbent: Optional[np.ndarray] = None
@@ -598,87 +577,6 @@ class BranchAndBoundSolver:
             floor, _ = structural_floor(layout, rform, rform.lb, rform.ub)
             if meets_gap(incumbent_obj, floor):
                 return finish(FEASIBLE, incumbent, incumbent_obj, floor)
-
-        # ------------------------------------------------ heuristic portfolio
-        def heuristic_solve_lp(
-            lb: np.ndarray, ub: np.ndarray, basis: Optional[BasisState] = None
-        ) -> LpResult:
-            """LP re-solves for the dive/LNS heuristics.
-
-            Counted separately from the tree's ``lp_solves`` so the node
-            scoreboard stays comparable across heuristic settings.
-            """
-            stats.dive_lp_solves += 1
-            result = None
-            if self._lp_backend == "revised":
-                result = self._revised_engine(rform).solve(lb, ub, basis=basis)
-            if result is None or result.status == ERROR:
-                result = solve_lp_simplex(
-                    rform.with_bounds(lb, ub), self._simplex_options
-                )
-            stats.dive_pivots += result.iterations
-            return result
-
-        def adopt_heuristic(candidate: np.ndarray, source: str) -> None:
-            updates = stats.incumbent_updates
-            try_incumbent(post.restore(candidate))
-            if stats.incumbent_updates > updates:
-                stats.heuristic_incumbents += 1
-                sources = stats.extra.setdefault("heuristic_sources", {})
-                sources[source] = sources.get(source, 0) + 1
-
-        def run_portfolio(
-            x: np.ndarray,
-            basis: Optional[BasisState],
-            lb: np.ndarray,
-            ub: np.ndarray,
-            bound: float,
-            *,
-            full: bool,
-        ) -> None:
-            """Dive/RINS (and at the root, LNS) from a fractional point."""
-            reference = incumbent[post.kept] if incumbent is not None else None
-            runs = []
-            strategies = ("fractional", "coefficient") if full else ("fractional",)
-            for strategy in strategies:
-                runs.append(
-                    dive(
-                        rform, group_members, heuristic_solve_lp, lb, ub, x,
-                        basis, strategy=strategy, integrality_tol=integrality_tol,
-                    )
-                )
-            if reference is not None:
-                if full:
-                    runs.append(
-                        dive(
-                            rform, group_members, heuristic_solve_lp, lb, ub, x,
-                            basis, strategy="guided", reference=reference,
-                            integrality_tol=integrality_tol,
-                        )
-                    )
-                runs.append(
-                    rins_dive(
-                        rform, group_members, heuristic_solve_lp, lb, ub, x,
-                        reference, basis, integrality_tol=integrality_tol,
-                    )
-                )
-            for run in sorted(
-                (r for r in runs if r.x is not None),
-                key=lambda r: (r.objective, r.source),
-            ):
-                adopt_heuristic(run.x, run.source)
-            if full and incumbent is not None and group_members:
-                improved = lns_search(
-                    rform, group_members, heuristic_solve_lp, lb, ub,
-                    incumbent[post.kept], bound,
-                    LnsOptions(seed=options.heuristic_seed),
-                    basis0=basis,
-                    accept=lambda xr, _obj: admissible(post.restore(xr)),
-                    integrality_tol=integrality_tol,
-                )
-                stats.lns_rounds += improved.rounds
-                if improved.improvements and improved.x is not None:
-                    adopt_heuristic(improved.x, "lns")
 
         # ------------------------------------------------------------ root node
         root_basis: Optional[BasisState] = None
@@ -801,99 +699,9 @@ class BranchAndBoundSolver:
                 try_incumbent(post.restore(reduced))
                 continue
 
-            if options.node_rounding:
-                try_incumbent(round_with_sos(
-                    model, root_form, post.restore(x), layout=rounding_layout
-                ))
-
-            if heuristics_on and group_members and (
-                node.depth == 0
-                or (
-                    options.heuristic_freq > 0
-                    and stats.nodes_explored % options.heuristic_freq == 0
-                )
-            ):
-                # Root: full dive portfolio + RINS + LNS off this node's
-                # relaxation (its basis makes every step a dual warm
-                # re-solve).  Periodic nodes: one cheap fractional dive
-                # (plus RINS when an incumbent exists).
-                run_portfolio(
-                    x,
-                    relaxation.basis if reuse_basis else None,
-                    node_lb,
-                    node_ub,
-                    bound,
-                    full=node.depth == 0,
-                )
-                if incumbent is not None and meets_gap(incumbent_obj, best_bound):
-                    return finish(FEASIBLE, incumbent, incumbent_obj, best_bound)
-
-            if (
-                node.depth == 0
-                and heuristics_on
-                and options.objective_cutoff
-                and incumbent is not None
-            ):
-                # Root tighten-and-resolve probe: the portfolio's incumbent
-                # lets the cutoff filter remove members from the *root*
-                # box; re-solving the root LP on the tightened box (a warm
-                # bound-change re-solve) can certify the incumbent outright.
-                # The probe is fathom-only: unless it proves optimality (or
-                # lands on an integral vertex) the original vertex, box and
-                # bound are kept for branching — adopting a merely-improved
-                # bound swaps in a different optimal vertex whose branching
-                # decisions routinely cost more nodes than the bound saves.
-                probe_lb, probe_ub = node_lb, node_ub
-                fathomed = False
-                for _ in range(3):
-                    feasible, tight_lb, tight_ub = apply_objective_cutoff(
-                        layout, rform, incumbent_obj - options.abs_gap,
-                        probe_lb, probe_ub, integrality_tol, stats.extra,
-                    )
-                    if not feasible:
-                        # Even the cheapest completion of the root box
-                        # cannot beat the incumbent: it is optimal.
-                        return finish(
-                            OPTIMAL, incumbent, incumbent_obj, incumbent_obj
-                        )
-                    if tight_ub is probe_ub or (
-                        bool(np.array_equal(tight_lb, probe_lb))
-                        and bool(np.array_equal(tight_ub, probe_ub))
-                    ):
-                        break
-                    resolved = self._solve_relaxation(
-                        rform.with_bounds(tight_lb, tight_ub),
-                        stats,
-                        basis=relaxation.basis if reuse_basis else None,
-                    )
-                    if resolved.status == INFEASIBLE:
-                        return finish(
-                            OPTIMAL, incumbent, incumbent_obj, incumbent_obj
-                        )
-                    if resolved.status != OPTIMAL:
-                        break
-                    probe_lb, probe_ub = tight_lb, tight_ub
-                    resolved_bound = resolved.objective + rform.objective_offset
-                    if resolved_bound >= incumbent_obj - options.abs_gap:
-                        return finish(
-                            OPTIMAL, incumbent, incumbent_obj, incumbent_obj
-                        )
-                    frac = np.abs(resolved.x - np.round(resolved.x))
-                    if bool(np.all(frac[rform.integrality] <= integrality_tol)):
-                        # The tightened box's LP vertex is integral: record
-                        # it and fathom the root (its children are covered
-                        # by the cutoff filter on the next pops).
-                        reduced = resolved.x.copy()
-                        reduced[rform.integrality] = np.round(
-                            reduced[rform.integrality]
-                        )
-                        try_incumbent(post.restore(reduced))
-                        fathomed = True
-                        break
-                    if resolved_bound <= bound + 1e-12:
-                        break
-                if fathomed:
-                    continue
+            try_incumbent(round_with_sos(
+                model, root_form, post.restore(x), layout=rounding_layout
+            ))
 
             # Check the optimality gap against the best open bound.
             if incumbent is not None and math.isfinite(bound):
@@ -926,7 +734,7 @@ class BranchAndBoundSolver:
                     # box (cheapest selectable member per group + interval
                     # minima) is a valid bound, so a child that cannot beat
                     # the incumbent is discarded before it ever costs a
-                    # node.  This is where a heuristic incumbent pays off
+                    # node.  This is where a good incumbent pays off
                     # twice — it prunes at the pop *and* at the push.
                     floor, _ = structural_floor(layout, rform, child_lb, child_ub)
                     if floor > child_bound:

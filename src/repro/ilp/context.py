@@ -118,8 +118,6 @@ class SolveContext:
         self.total_refactorizations: int = 0
         self.total_etas_applied: int = 0
         self.total_heuristic_incumbents: int = 0
-        self.total_dive_pivots: int = 0
-        self.total_lns_rounds: int = 0
         self.presolve_rows_dropped: int = 0
         self.presolve_cols_fixed: int = 0
         self.warm_start_hits: int = 0
@@ -187,8 +185,6 @@ class SolveContext:
         self.total_refactorizations += getattr(stats, "refactorizations", 0)
         self.total_etas_applied += getattr(stats, "etas_applied", 0)
         self.total_heuristic_incumbents += getattr(stats, "heuristic_incumbents", 0)
-        self.total_dive_pivots += getattr(stats, "dive_pivots", 0)
-        self.total_lns_rounds += getattr(stats, "lns_rounds", 0)
         pres = stats.presolve or {}
         self.presolve_rows_dropped += int(pres.get("rows_dropped_ub", 0))
         self.presolve_rows_dropped += int(pres.get("rows_dropped_eq", 0))
@@ -206,8 +202,6 @@ class SolveContext:
             "refactorizations": self.total_refactorizations,
             "etas_applied": self.total_etas_applied,
             "heuristic_incumbents": self.total_heuristic_incumbents,
-            "dive_pivots": self.total_dive_pivots,
-            "lns_rounds": self.total_lns_rounds,
             "presolve_rows_dropped": self.presolve_rows_dropped,
             "presolve_cols_fixed": self.presolve_cols_fixed,
             "warm_start_hits": self.warm_start_hits,
@@ -245,8 +239,6 @@ class SolveContext:
         ctx.total_refactorizations = int(summary.get("refactorizations", 0))
         ctx.total_etas_applied = int(summary.get("etas_applied", 0))
         ctx.total_heuristic_incumbents = int(summary.get("heuristic_incumbents", 0))
-        ctx.total_dive_pivots = int(summary.get("dive_pivots", 0))
-        ctx.total_lns_rounds = int(summary.get("lns_rounds", 0))
         ctx.presolve_rows_dropped = int(summary.get("presolve_rows_dropped", 0))
         ctx.presolve_cols_fixed = int(summary.get("presolve_cols_fixed", 0))
         ctx.warm_start_hits = int(summary.get("warm_start_hits", 0))

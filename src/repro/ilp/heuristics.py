@@ -41,7 +41,7 @@ class SosLayout:
     ``np.ufunc.reduceat`` takes), ``segment`` the group id of every flat
     position and ``cost`` the objective coefficients ``c[flat]``.
     ``groups`` keeps the per-group index arrays for callers that walk
-    groups one at a time (dives, LNS).
+    groups one at a time (SOS branching, dives, LNS).
 
     Minima, maxima and logical reductions run through ``reduceat``.  Sums
     go through :meth:`group_sums`, which adds each group exactly as

@@ -62,9 +62,8 @@ basis factorizes it only the first time the engine sees it: every engine
 keeps a small LRU of pristine factorizations, keyed by the basis, with
 the reduced costs the dual-feasibility check needs (they depend on the
 basis and ``c``, never on the bounds).  Branch-and-bound siblings share
-their parent's basis, and dives and LNS re-solve from the same few
-bases, so most warm starts install a cached copy and go straight to the
-bound flips.  A cached ``B⁻¹`` is the same ``np.linalg.inv`` of the same
+their parent's basis, so most warm starts install a cached copy and go
+straight to the bound flips.  A cached ``B⁻¹`` is the same ``np.linalg.inv`` of the same
 matrix, so a hit is bit-identical to a refactorization.
 """
 
@@ -682,7 +681,7 @@ class RevisedSimplex:
             d = self._reduced_costs(self.c, y)
             self._remember(key, d)
         else:
-            # Seen before (a sibling, or a dive or LNS re-solve): install a
+            # Seen before (a sibling of an earlier node): install a
             # copy of the pristine factor — pivots update a dense B⁻¹ in
             # place — and reuse the reduced costs; neither depends on the
             # bounds.

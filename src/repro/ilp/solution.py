@@ -52,21 +52,15 @@ class SolveStats:
     #: simplex pivots keyed by the pricing rule that chose them.
     pricing_pivots: Dict[str, int] = field(default_factory=dict)
     incumbent_updates: int = 0
-    #: incumbents injected by the primal heuristic portfolio (dives/LNS).
+    #: incumbents found by the fast lane's Lagrangian-guided greedy.
     heuristic_incumbents: int = 0
-    #: simplex pivots spent inside diving heuristics (outside the tree).
-    dive_pivots: int = 0
-    #: LP re-solves performed by diving heuristics (not in ``lp_solves``).
-    dive_lp_solves: int = 0
-    #: destroy/repair rounds run by the LNS improvement search.
-    lns_rounds: int = 0
     best_bound: float = float("nan")
     gap: float = float("nan")
     backend: str = ""
     #: reductions reported by the presolve pass (empty when presolve is off
     #: or the backend has no presolve of its own).
     presolve: Dict[str, int] = field(default_factory=dict)
-    #: free-form backend metadata (e.g. the portfolio's winning entrant).
+    #: free-form backend metadata (e.g. the fast lane's dual iterations).
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -86,9 +80,6 @@ class SolveStats:
             "pricing_pivots": dict(self.pricing_pivots),
             "incumbent_updates": self.incumbent_updates,
             "heuristic_incumbents": self.heuristic_incumbents,
-            "dive_pivots": self.dive_pivots,
-            "dive_lp_solves": self.dive_lp_solves,
-            "lns_rounds": self.lns_rounds,
             "best_bound": self.best_bound,
             "gap": self.gap,
             "backend": self.backend,

@@ -1,9 +1,9 @@
 """``bench_compare``'s total-LP-work gate for table3 and heuristics artifacts.
 
-LP work — tree LP solves plus dive/LNS LP solves, tree pivots plus dive
-pivots — is deterministic for a fixed set of design points, so the gate
-has no tolerance: any growth over the baseline fails, whatever
-``--fail-over`` allows the wall time.
+LP work — every LP solve and pivot the solver runs — is deterministic
+for a fixed set of design points, so the gate has no tolerance: any
+growth over the baseline fails, whatever ``--fail-over`` allows the wall
+time.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ _spec.loader.exec_module(bench_compare)
 
 WORK = {
     "total_lp_solves": 57,
-    "total_dive_lp_solves": 105,
     "total_simplex_iterations": 535,
-    "total_dive_pivots": 318,
 }
 
 
@@ -60,14 +58,12 @@ class TestLpWorkGate:
         baseline = _doc(name)
         assert bench_compare.validate(baseline) == []
         assert bench_compare.compare(baseline, _doc(name), fail_over=0) == 0
-        leaner = _doc(name, total_dive_lp_solves=100, total_simplex_iterations=500)
+        leaner = _doc(name, total_lp_solves=50, total_simplex_iterations=500)
         assert bench_compare.compare(baseline, leaner, fail_over=0) == 0
 
     @pytest.mark.parametrize("key, what", [
         ("total_lp_solves", "LP solves"),
-        ("total_dive_lp_solves", "LP solves"),
         ("total_simplex_iterations", "pivots"),
-        ("total_dive_pivots", "pivots"),
     ])
     def test_one_more_unit_of_work_fails(self, name, key, what, capsys):
         baseline = _doc(name)
@@ -75,11 +71,6 @@ class TestLpWorkGate:
         # Even a generous wall-time allowance does not cover LP work.
         assert bench_compare.compare(baseline, heavier, fail_over=300) == 1
         assert f"total {what}" in capsys.readouterr().out
-
-    def test_shifting_work_between_tree_and_dives_is_judged_on_the_sum(self, name):
-        baseline = _doc(name)
-        shifted = _doc(name, total_lp_solves=60, total_dive_lp_solves=102)
-        assert bench_compare.compare(baseline, shifted, fail_over=0) == 0
 
     def test_different_points_skip_the_gate(self, name, capsys):
         baseline = _doc(name)
@@ -89,19 +80,20 @@ class TestLpWorkGate:
         assert "LP-work gate skipped" in capsys.readouterr().out
 
     def test_artifacts_must_carry_the_summed_keys(self, name):
-        document = _doc(name)
-        del document["total_dive_lp_solves"]
-        problems = bench_compare.validate(document)
-        assert any("total_dive_lp_solves" in p for p in problems)
+        for key in WORK:
+            document = _doc(name)
+            del document[key]
+            problems = bench_compare.validate(document)
+            assert any(key in p for p in problems), key
 
 
-def test_table3_artifact_totals_dive_lp_solves():
+def test_table3_artifact_totals_lp_work():
     harness = Table3Harness(points=SCALED_DESIGN_POINTS[:2], solver="bnb-pure",
                             time_limit=60, run_complete=False)
     rows = harness.run()
     document = harness._artifact(rows, elapsed=1.0)
     assert bench_compare.validate(document) == []
-    assert document["total_dive_lp_solves"] == sum(
-        row.global_solve_stats["dive_lp_solves"] for row in rows
-    )
-    assert document["total_dive_lp_solves"] > 0
+    for key, stat in (("total_lp_solves", "lp_solves"),
+                      ("total_simplex_iterations", "simplex_iterations")):
+        assert document[key] == sum(row.global_solve_stats[stat] for row in rows)
+        assert document[key] > 0

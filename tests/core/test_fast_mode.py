@@ -113,11 +113,16 @@ class TestFastConfiguration:
 
     def test_heuristic_counters_surface_in_solve_stats(self):
         board = hierarchical_board()
-        result = MemoryMapper(board, solver="bnb-pure").map(
-            random_design(14, seed=0)
-        )
-        stats = result.solve_stats
-        for key in ("heuristic_incumbents", "dive_lp_solves", "dive_pivots",
-                    "lns_rounds"):
-            assert key in stats
-            assert stats[key] >= 0
+        design = random_design(14, seed=0)
+        exact = MemoryMapper(board, solver="bnb-pure").map(design).solve_stats
+        # The exact tree takes incumbents only from warm starts, the root
+        # greedy and node rounding; all of its LP work is in lp_solves.
+        assert exact["heuristic_incumbents"] == 0
+        assert exact["lp_solves"] > 0
+        for key in ("dive_lp_solves", "dive_pivots", "lns_rounds"):
+            assert key not in exact
+        fast = MemoryMapper(board, solver="bnb-pure", mode="fast").map(
+            fir_filter_design()
+        ).solve_stats
+        assert fast["backend"] == "fast-heuristic"
+        assert fast["heuristic_incumbents"] >= 1

@@ -22,6 +22,7 @@ from repro.ilp import (
     create_solver,
     highs_available,
     quicksum,
+    resolve_backend,
 )
 from repro.ilp.branch_bound import apply_objective_cutoff, structural_floor
 from repro.ilp.heuristics import SosLayout
@@ -427,6 +428,18 @@ class TestCreateSolver:
     def test_unknown_name_rejected(self):
         with pytest.raises(ModelError):
             create_solver("cplex")
+
+    @pytest.mark.parametrize("option, value", [
+        ("heuristics", "off"),
+        ("heuristic_freq", 2),
+        ("heuristic_seed", 7),
+        ("node_rounding", False),
+        ("log", True),
+    ])
+    def test_removed_options_are_rejected(self, option, value):
+        with pytest.raises(TypeError):
+            BranchAndBoundSolver(**{option: value})
+        assert option not in resolve_backend("bnb-pure").options
 
 
 @pytest.mark.skipif(not highs_available(), reason="SciPy/HiGHS not installed")
