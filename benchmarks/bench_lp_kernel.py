@@ -1,18 +1,16 @@
 #!/usr/bin/env python
-"""LP kernel micro-benchmark: tableau vs dense-inverse vs LU eta-file.
+"""LP kernel micro-benchmark: dense tableau vs revised simplex.
 
 Runs the seeded fuzz-corpus families (shared with the differential suite
 via :mod:`repro.ilp.instances`) plus a few genuinely large sparse
-instances through every LP kernel the repository ships:
+instances through both LP kernels the repository ships:
 
-* ``tableau`` — the legacy dense tableau (finite-``lb`` families only),
-* ``dense`` — revised simplex on an explicit dense inverse,
-* ``lu`` — revised simplex on the Markowitz LU + eta file,
-* ``lu-devex`` — the LU kernel under Devex pricing.
+* ``tableau`` — the dense two-phase tableau (finite-``lb`` families only),
+* ``dense`` — the revised simplex on its explicit dense inverse.
 
-Each (family, kernel) cell reports total pivots, update etas applied,
-refactorizations and wall seconds, and whether every objective matched
-the dense-inverse reference to 1e-6.  The document lands in
+Each (family, kernel) cell reports total pivots, refactorizations and
+wall seconds, and whether every objective matched the revised kernel's
+reference to 1e-6.  The document lands in
 ``BENCH_lp_kernel.json`` (``--artifact-dir``, default
 ``bench-artifacts``); ``scripts/bench_compare.py --check`` validates it
 and the CI smoke job diffs a fresh run against the committed baseline on
@@ -37,7 +35,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.bench.artifacts import write_bench_artifact  # noqa: E402
 from repro.ilp import (  # noqa: E402
-    RevisedOptions,
     SimplexOptions,
     solve_lp_revised,
     solve_lp_simplex,
@@ -73,15 +70,6 @@ _LARGE_SPARSE_QUICK: Sequence[Tuple[str, int, int, int]] = (
 )
 
 
-def _revised_kernel(pricing: str, factorization: str):
-    options = RevisedOptions(pricing=pricing, factorization=factorization)
-
-    def solve(form):
-        return solve_lp_revised(form, options)
-
-    return solve
-
-
 def _tableau_kernel(form):
     return solve_lp_simplex(form, SimplexOptions())
 
@@ -89,9 +77,7 @@ def _tableau_kernel(form):
 #: Every kernel this benchmark knows, in presentation order.
 _KERNELS: Sequence[Tuple[str, Callable[[Any], Any]]] = (
     ("tableau", _tableau_kernel),
-    ("dense", _revised_kernel("dantzig", "dense")),
-    ("lu", _revised_kernel("dantzig", "lu")),
-    ("lu-devex", _revised_kernel("devex", "lu")),
+    ("dense", solve_lp_revised),
 )
 
 
@@ -103,13 +89,12 @@ def _run_cell(
     references: Sequence[Optional[float]],
 ) -> Dict[str, Any]:
     """Solve every instance of one family with one kernel."""
-    pivots = etas = refactorizations = 0
+    pivots = refactorizations = 0
     objectives_match = True
     started = time.perf_counter()
     for form, reference in zip(forms, references):
         result = solve(form)
         pivots += int(getattr(result, "iterations", 0))
-        etas += int(getattr(result, "etas_applied", 0))
         refactorizations += int(getattr(result, "refactorizations", 0))
         if reference is not None:
             if result.status != "optimal" or result.objective is None or \
@@ -122,7 +107,6 @@ def _run_cell(
         "kernel": kernel,
         "solves": len(forms),
         "pivots": pivots,
-        "etas_applied": etas,
         "refactorizations": refactorizations,
         "wall_seconds": wall,
         "objectives_match": objectives_match,
@@ -134,11 +118,11 @@ def _family_rows(
     forms: Sequence[Any],
     tableau_ok: bool,
 ) -> List[Dict[str, Any]]:
-    # The dense-inverse revised kernel is the reference every other
-    # kernel's objectives are compared against.
+    # The revised kernel is the reference every other kernel's
+    # objectives are compared against.
     references: List[Optional[float]] = []
     for form in forms:
-        result = solve_lp_revised(form, RevisedOptions(factorization="dense"))
+        result = solve_lp_revised(form)
         references.append(
             result.objective if result.status == "optimal" else None
         )
@@ -172,7 +156,6 @@ def run(quick: bool) -> Dict[str, Any]:
         "num_points": len(rows),
         "wall_seconds": wall,
         "total_pivots": sum(r["pivots"] for r in rows),
-        "total_etas_applied": sum(r["etas_applied"] for r in rows),
         "total_refactorizations": sum(r["refactorizations"] for r in rows),
         "all_objectives_match": all(r["objectives_match"] for r in rows),
         "results": rows,
@@ -181,19 +164,18 @@ def run(quick: bool) -> Dict[str, Any]:
 
 def render(payload: Dict[str, Any]) -> str:
     lines = [
-        f"{'cell':<28} {'solves':>6} {'pivots':>8} {'etas':>8} "
+        f"{'cell':<28} {'solves':>6} {'pivots':>8} "
         f"{'refacs':>6} {'wall s':>9} {'match':>6}"
     ]
     for row in payload["results"]:
         lines.append(
             f"{row['label']:<28} {row['solves']:>6} {row['pivots']:>8} "
-            f"{row['etas_applied']:>8} {row['refactorizations']:>6} "
+            f"{row['refactorizations']:>6} "
             f"{row['wall_seconds']:>9.3f} "
             f"{'yes' if row['objectives_match'] else 'NO':>6}"
         )
     lines.append(
         f"totals: {payload['total_pivots']} pivots, "
-        f"{payload['total_etas_applied']} etas, "
         f"{payload['total_refactorizations']} refactorizations, "
         f"{payload['wall_seconds']:.3f}s"
     )
@@ -216,7 +198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     path = write_bench_artifact("lp_kernel", payload, args.artifact_dir)
     print(f"[artifact written to {path}]")
     if not payload["all_objectives_match"]:
-        print("FAIL: some kernel disagreed with the dense-inverse reference")
+        print("FAIL: some kernel disagreed with the revised-kernel reference")
         return 1
     return 0
 

@@ -47,9 +47,6 @@ TOTAL_KEYS = (
     "total_warm_lp_solves",
     "total_basis_reuses",
     "total_refactorizations",
-    "total_etas_applied",
-    "total_ftran_nnz",
-    "total_btran_nnz",
     "total_pivots",
     "total_global_solves",
     "total_retries",
@@ -71,8 +68,8 @@ TABLE3_KEYS = ("total_warm_lp_solves", "total_basis_reuses",
 #: These are deterministic — same corpus, same counts on any machine —
 #: which is why the regression gate for this artifact runs on pivots,
 #: not wall time.
-LP_KERNEL_KEYS = ("total_pivots", "total_etas_applied",
-                  "total_refactorizations", "all_objectives_match")
+LP_KERNEL_KEYS = ("total_pivots", "total_refactorizations",
+                  "all_objectives_match")
 
 #: Aggregate counters a heuristics artifact
 #: (``benchmarks/bench_heuristics.py``) must carry.  Like the kernel

@@ -121,7 +121,6 @@ def explore_artifact(result: "ExploreResult") -> Dict[str, Any]:
         "total_warm_lp_solves": total("warm_lp_solves"),
         "total_basis_reuses": total("basis_reuses"),
         "total_refactorizations": total("refactorizations"),
-        "total_etas_applied": total("etas_applied"),
         "total_retries": total("retries"),
         "cache": dict(result.cache_stats) if result.cache_stats is not None else None,
         "grid": scenario_grid_to_dict(result.grid),

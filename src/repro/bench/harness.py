@@ -24,11 +24,6 @@ Environment knobs honoured by :func:`run_table3`:
     hits the limit is reported with the limit as a lower bound on its time,
     which is how the "explodes for large problems" behaviour shows up
     without stalling the benchmark run.
-``REPRO_LP_PRICING=<rule>`` / ``REPRO_LP_FACTORIZATION=<mode>``
-    revised-kernel pricing rule (``dantzig``/``devex``) and
-    basis representation (``auto``/``dense``/``lu``) for backends that
-    run the built-in kernel; backends without the option (e.g.
-    ``scipy-milp``) ignore them through the schema filter.
 """
 
 from __future__ import annotations
@@ -142,12 +137,6 @@ class Table3Harness:
 
     def _solver_options(self) -> Dict[str, object]:
         options: Dict[str, object] = {"time_limit": self.time_limit}
-        pricing = os.environ.get("REPRO_LP_PRICING", "").strip()
-        if pricing:
-            options["lp_pricing"] = pricing
-        factorization = os.environ.get("REPRO_LP_FACTORIZATION", "").strip()
-        if factorization:
-            options["lp_factorization"] = factorization
         if not self.presolve:
             # The faithful pre-refactor path: no root presolve, no
             # node-level bound propagation, no incumbent-cutoff filtering.
@@ -365,9 +354,6 @@ class Table3Harness:
             "total_warm_lp_solves": stat_total("warm_lp_solves"),
             "total_basis_reuses": stat_total("basis_reuses"),
             "total_refactorizations": stat_total("refactorizations"),
-            "total_etas_applied": stat_total("etas_applied"),
-            "total_ftran_nnz": stat_total("ftran_nnz"),
-            "total_btran_nnz": stat_total("btran_nnz"),
             "total_global_solves": stat_total("global_solves"),
             "total_retries": stat_total("retries"),
             "total_presolve_rows_dropped": stat_total("presolve_rows_dropped"),

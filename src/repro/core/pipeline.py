@@ -252,11 +252,7 @@ class MemoryMapper:
             "warm_lp_solves": total("warm_lp_solves"),
             "basis_reuses": total("basis_reuses"),
             "refactorizations": total("refactorizations"),
-            "etas_applied": total("etas_applied"),
-            "ftran_nnz": total("ftran_nnz"),
-            "btran_nnz": total("btran_nnz"),
             "refactor_triggers": merge_counts("refactor_triggers"),
-            "pricing_pivots": merge_counts("pricing_pivots"),
             "incumbent_updates": total("incumbent_updates"),
             "heuristic_incumbents": total("heuristic_incumbents"),
             "presolve_rows_dropped": presolve_rows,

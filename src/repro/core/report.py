@@ -169,15 +169,6 @@ def render_full_report(result: MappingResult) -> str:
                     refac=stats.get("refactorizations", 0),
                 )
             )
-        if stats.get("etas_applied"):
-            header.append(
-                "LU eta file       : {etas} update etas applied "
-                "({ft} ftran / {bt} btran non-zeros)".format(
-                    etas=stats.get("etas_applied", 0),
-                    ft=stats.get("ftran_nnz", 0),
-                    bt=stats.get("btran_nnz", 0),
-                )
-            )
     header.append("")
     body = [
         render_assignment(result.design, result.board, result.global_mapping),

@@ -75,7 +75,6 @@ _COUNTER_KEYS: Tuple[str, ...] = (
     "warm_lp_solves",
     "basis_reuses",
     "refactorizations",
-    "etas_applied",
     "retries",
 )
 
@@ -101,7 +100,6 @@ class ExplorePointResult:
     warm_lp_solves: int = 0
     basis_reuses: int = 0
     refactorizations: int = 0
-    etas_applied: int = 0
     retries: int = 0
     fingerprint: Optional[str] = None
     cache_hit: bool = False
@@ -128,7 +126,6 @@ class ExplorePointResult:
             "warm_lp_solves": self.warm_lp_solves,
             "basis_reuses": self.basis_reuses,
             "refactorizations": self.refactorizations,
-            "etas_applied": self.etas_applied,
             "retries": self.retries,
             "fingerprint": self.fingerprint,
             "cache_hit": self.cache_hit,
@@ -154,7 +151,6 @@ class ExplorePointResult:
             warm_lp_solves=int(data.get("warm_lp_solves") or 0),
             basis_reuses=int(data.get("basis_reuses") or 0),
             refactorizations=int(data.get("refactorizations") or 0),
-            etas_applied=int(data.get("etas_applied") or 0),
             retries=int(data.get("retries") or 0),
             fingerprint=data.get("fingerprint"),
             cache_hit=bool(data.get("cache_hit")),
@@ -797,7 +793,6 @@ class DesignSpaceExplorer:
             warm_lp_solves=int(stats.get("warm_lp_solves", 0) or 0),
             basis_reuses=int(stats.get("basis_reuses", 0) or 0),
             refactorizations=int(stats.get("refactorizations", 0) or 0),
-            etas_applied=int(stats.get("etas_applied", 0) or 0),
             retries=int(stats.get("retries", 0) or 0),
             fingerprint=result.fingerprint,
             cache_hit=result.cache_hit,

@@ -155,13 +155,8 @@ def create_backend(name: Optional[str] = None, **options) -> SolverBackend:
 # ---------------------------------------------------------------------------
 
 _BNB_OPTIONS: Dict[str, str] = {
-    "lp_backend": "LP relaxation kernel: revised or simplex",
-    "simplex_options": "SimplexOptions for the dense tableau kernel",
     "revised_options": "RevisedOptions for the revised simplex kernel",
-    "lp_pricing": "revised-kernel pricing rule: dantzig or devex",
-    "lp_factorization": "revised-kernel basis representation: auto, dense or lu",
     "reuse_basis": "dual-simplex warm starts from the parent node's basis",
-    "branching": "branching strategy: auto, sos1 or variable",
     "time_limit": "wall-clock limit in seconds",
     "node_limit": "maximum number of branch-and-bound nodes",
     "rel_gap": "relative optimality gap",

@@ -14,20 +14,23 @@ runs as a three-stage path:
    solves the whole model outright on retry solves);
 3. **branch and bound** — the classic LP-relaxation loop over the
    *reduced* form: solve the node relaxation with the pure-Python
-   revised simplex (dual warm re-solves from the parent's basis), prune
-   against the incumbent, accept integral relaxations, branch otherwise.
+   revised simplex of :mod:`repro.ilp.revised_simplex` (dual warm
+   re-solves from the parent's basis), prune against the incumbent,
+   accept integral relaxations, branch otherwise.  Should the revised
+   kernel report numerical trouble on a node, that node is re-solved
+   once with the dense tableau of :mod:`repro.ilp.simplex`.
 
-Branching strategies:
+Branching follows the model:
 
-* **SOS-1 branching** (default when the model declares SOS-1 groups):
-  pick the group with the most fractional LP mass and create one child
-  per member.  The mapping formulations declare one group per data
+* **SOS-1 branching** when the model declares SOS-1 groups: pick the
+  group with the most fractional LP mass and create one child per
+  member.  The mapping formulations declare one group per data
   structure, so a single decision settles a whole assignment row.
-* **Pseudo-cost variable branching**: two-way splits steered by the
-  objective degradation observed per unit of fractionality.  The
-  statistics live in the :class:`SolveContext`, so the pipeline's
-  forbidden-pair retries keep learning across solves instead of starting
-  cold each time.
+* **Pseudo-cost variable branching** otherwise (and when no group is
+  fractional): two-way splits steered by the objective degradation
+  observed per unit of fractionality.  The statistics live in the
+  :class:`SolveContext`, so the pipeline's forbidden-pair retries keep
+  learning across solves instead of starting cold each time.
 
 Primal heuristics from :mod:`repro.ilp.heuristics` seed the incumbent at
 the root and try to round every node relaxation; warm starts arrive
@@ -41,7 +44,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,7 +60,7 @@ from .revised_simplex import BasisState, RevisedOptions, RevisedSimplex
 from .diving import dive, rins_dive  # noqa: F401
 from .lns import lns_search  # noqa: F401
 from .scipy_backend import solve_lp_highs  # noqa: F401
-from .simplex import SimplexOptions, solve_lp_simplex
+from .simplex import solve_lp_simplex
 from .solution import (
     ERROR,
     FEASIBLE,
@@ -79,12 +82,6 @@ __all__ = ["BranchAndBoundSolver", "BnBOptions", "create_solver"]
 class BnBOptions:
     """Tuning parameters for :class:`BranchAndBoundSolver`."""
 
-    #: LP relaxation kernel: "revised" (the sparse revised simplex) or
-    #: "simplex" (the legacy dense tableau, kept as the reference oracle).
-    lp_backend: str = "revised"
-    #: "auto" uses SOS-1 branching when groups exist; "sos1" requires them;
-    #: "variable" always branches on a single fractional variable.
-    branching: str = "auto"
     time_limit: Optional[float] = None
     node_limit: Optional[int] = None
     rel_gap: float = 1e-6
@@ -117,20 +114,8 @@ class BnBOptions:
     gap_limit: Optional[float] = None
     #: optional warm-start assignment (indexed by variable index).
     warm_start: Optional[np.ndarray] = None
-    #: per-solve options of the dense tableau kernel (``lp_backend=
-    #: "simplex"``); built once per solve instead of per node, so
-    #: ``max_iterations``/``tolerance`` are configurable from backends.
-    simplex_options: Optional[SimplexOptions] = None
-    #: per-solve options of the revised kernel (``lp_backend="revised"``).
+    #: per-solve options of the revised simplex LP kernel.
     revised_options: Optional[RevisedOptions] = None
-    #: revised-kernel pricing rule override ("dantzig", "devex");
-    #: ``None`` keeps the kernel default.  A convenience knob
-    #: so backends/serve configs can switch rules without building a full
-    #: :class:`RevisedOptions`.
-    lp_pricing: Optional[str] = None
-    #: revised-kernel basis representation override ("auto", "dense",
-    #: "lu"); ``None`` keeps the kernel default.
-    lp_factorization: Optional[str] = None
     #: thread the parent node's optimal basis into child re-solves (the
     #: revised kernel's dual-simplex warm start); fingerprints must be
     #: identical with this off — it only changes solver effort.
@@ -247,37 +232,27 @@ class BranchAndBoundSolver:
         basis: Optional[BasisState] = None,
     ) -> LpResult:
         stats.lp_solves += 1
-        if self._lp_backend == "revised":
-            engine = self._revised_engine(form)
-            result = engine.solve(form.lb, form.ub, basis=basis)
-            stats.refactorizations += result.refactorizations
-            stats.etas_applied += result.etas_applied
-            stats.ftran_nnz += result.ftran_nnz
-            stats.btran_nnz += result.btran_nnz
-            for trigger, count in result.refactor_triggers.items():
-                stats.refactor_triggers[trigger] = (
-                    stats.refactor_triggers.get(trigger, 0) + count
-                )
-            if result.pricing:
-                stats.pricing_pivots[result.pricing] = (
-                    stats.pricing_pivots.get(result.pricing, 0) + result.iterations
-                )
-            if result.status == ERROR:
-                # Numerical trouble in the revised kernel: one dense
-                # tableau solve as a safety net for this node.  The
-                # discarded attempt's work is still accounted (its own
-                # LP solve and iterations), but it does not count as a
-                # basis reuse — its result was thrown away.
-                stats.simplex_iterations += result.iterations
-                stats.lp_solves += 1
-                result = solve_lp_simplex(form, self._simplex_options)
-            else:
-                if result.basis_reused:
-                    stats.basis_reuses += 1
-                if result.warm:
-                    stats.warm_lp_solves += 1
+        engine = self._revised_engine(form)
+        result = engine.solve(form.lb, form.ub, basis=basis)
+        stats.refactorizations += result.refactorizations
+        for trigger, count in result.refactor_triggers.items():
+            stats.refactor_triggers[trigger] = (
+                stats.refactor_triggers.get(trigger, 0) + count
+            )
+        if result.status == ERROR:
+            # Numerical trouble in the revised kernel: one dense
+            # tableau solve as a safety net for this node.  The
+            # discarded attempt's work is still accounted (its own
+            # LP solve and iterations), but it does not count as a
+            # basis reuse — its result was thrown away.
+            stats.simplex_iterations += result.iterations
+            stats.lp_solves += 1
+            result = solve_lp_simplex(form)
         else:
-            result = solve_lp_simplex(form, self._simplex_options)
+            if result.basis_reused:
+                stats.basis_reuses += 1
+            if result.warm:
+                stats.warm_lp_solves += 1
         stats.simplex_iterations += result.iterations
         return result
 
@@ -399,32 +374,9 @@ class BranchAndBoundSolver:
         stats = SolveStats()
         context = options.context if options.context is not None else SolveContext()
 
-        if options.lp_backend not in ("revised", "simplex"):
-            raise ModelError(f"unknown lp_backend {options.lp_backend!r}")
-        self._lp_backend = options.lp_backend
-        stats.backend = f"bnb+{self._lp_backend}"
-        # Hoisted per-solve LP options: built once here instead of per
-        # node, so callers can actually tune ``max_iterations``/
-        # ``tolerance`` through the backend registry.
-        self._simplex_options = options.simplex_options or SimplexOptions()
+        stats.backend = "bnb+revised"
         self._revised_options = options.revised_options or RevisedOptions()
-        overrides = {}
-        if options.lp_pricing is not None:
-            overrides["pricing"] = options.lp_pricing
-        if options.lp_factorization is not None:
-            overrides["factorization"] = options.lp_factorization
-        if overrides:
-            # replace() re-runs validation-by-construction in the engine;
-            # a bad name surfaces as the kernel's own ValueError.
-            self._revised_options = replace(self._revised_options, **overrides)
         self._engine: Optional[RevisedSimplex] = None
-        reuse_basis = options.reuse_basis and self._lp_backend == "revised"
-
-        branching = options.branching
-        if branching == "auto":
-            branching = "sos1" if model.sos1_groups else "variable"
-        if branching == "sos1" and not model.sos1_groups:
-            raise ModelError("SOS-1 branching requested but the model has no groups")
 
         form = context.standard_form(model)
         names = {i: n for i, n in enumerate(form.variable_names)}
@@ -516,13 +468,12 @@ class BranchAndBoundSolver:
 
         column_map = post.column_map
         reduced_groups: List[Tuple[int, ...]] = []
-        if branching == "sos1":
-            for group in model.sos1_groups:
-                mapped = tuple(
-                    int(column_map[m]) for m in group.members if column_map[m] >= 0
-                )
-                if len(mapped) >= 2:
-                    reduced_groups.append(mapped)
+        for group in model.sos1_groups:
+            mapped = tuple(
+                int(column_map[m]) for m in group.members if column_map[m] >= 0
+            )
+            if len(mapped) >= 2:
+                reduced_groups.append(mapped)
 
         # ------------------------------------------------- objective cutoff
         # The reduced (exactly-one) SOS groups as one flat layout: what
@@ -580,7 +531,7 @@ class BranchAndBoundSolver:
 
         # ------------------------------------------------------------ root node
         root_basis: Optional[BasisState] = None
-        if reuse_basis and context.warm_basis is not None:
+        if options.reuse_basis and context.warm_basis is not None:
             # A previous solve's root basis (retry loop / chained sweep);
             # the kernel validates dimensions and silently cold-starts on
             # a mismatch, so this is best-effort by construction.
@@ -662,7 +613,7 @@ class BranchAndBoundSolver:
                 node.lb, node.ub = node_lb, node_ub
             node_form = rform.with_bounds(node_lb, node_ub)
             relaxation = self._solve_relaxation(
-                node_form, stats, basis=node.basis if reuse_basis else None
+                node_form, stats, basis=node.basis if options.reuse_basis else None
             )
 
             if relaxation.status == INFEASIBLE:
@@ -711,7 +662,7 @@ class BranchAndBoundSolver:
 
             children: List[Tuple] = []
             sos_children: List[Tuple[np.ndarray, np.ndarray]] = []
-            if branching == "sos1" and reduced_groups:
+            if reduced_groups:
                 selection = self._select_sos_group(layout, x, node.lb, node.ub)
                 if selection is not None:
                     members, values = selection
@@ -725,7 +676,7 @@ class BranchAndBoundSolver:
             if not children:
                 # Numerically integral but missed by the tolerance test above.
                 continue
-            child_basis = relaxation.basis if reuse_basis else None
+            child_basis = relaxation.basis if options.reuse_basis else None
             reduced_costs = relaxation.reduced_costs
             for child_lb, child_ub, child_name, child_dir, child_frac in children:
                 child_bound = bound

@@ -116,7 +116,6 @@ class SolveContext:
         self.total_warm_lp_solves: int = 0
         self.total_basis_reuses: int = 0
         self.total_refactorizations: int = 0
-        self.total_etas_applied: int = 0
         self.total_heuristic_incumbents: int = 0
         self.presolve_rows_dropped: int = 0
         self.presolve_cols_fixed: int = 0
@@ -183,7 +182,6 @@ class SolveContext:
         self.total_warm_lp_solves += getattr(stats, "warm_lp_solves", 0)
         self.total_basis_reuses += getattr(stats, "basis_reuses", 0)
         self.total_refactorizations += getattr(stats, "refactorizations", 0)
-        self.total_etas_applied += getattr(stats, "etas_applied", 0)
         self.total_heuristic_incumbents += getattr(stats, "heuristic_incumbents", 0)
         pres = stats.presolve or {}
         self.presolve_rows_dropped += int(pres.get("rows_dropped_ub", 0))
@@ -200,7 +198,6 @@ class SolveContext:
             "warm_lp_solves": self.total_warm_lp_solves,
             "basis_reuses": self.total_basis_reuses,
             "refactorizations": self.total_refactorizations,
-            "etas_applied": self.total_etas_applied,
             "heuristic_incumbents": self.total_heuristic_incumbents,
             "presolve_rows_dropped": self.presolve_rows_dropped,
             "presolve_cols_fixed": self.presolve_cols_fixed,
@@ -237,7 +234,6 @@ class SolveContext:
         ctx.total_warm_lp_solves = int(summary.get("warm_lp_solves", 0))
         ctx.total_basis_reuses = int(summary.get("basis_reuses", 0))
         ctx.total_refactorizations = int(summary.get("refactorizations", 0))
-        ctx.total_etas_applied = int(summary.get("etas_applied", 0))
         ctx.total_heuristic_incumbents = int(summary.get("heuristic_incumbents", 0))
         ctx.presolve_rows_dropped = int(summary.get("presolve_rows_dropped", 0))
         ctx.presolve_cols_fixed = int(summary.get("presolve_cols_fixed", 0))

@@ -21,8 +21,9 @@ Families:
   row blocks).
 * :func:`degenerate_lp` — transportation-style rings with stacked
   redundant rows (primal degeneracy, anti-cycling exercise).
-* :func:`large_sparse_lp` — the LU path's home turf: hundreds of rows
-  at a few non-zeros per row (<5% density), feasible by construction.
+* :func:`large_sparse_lp` — hundreds of rows at a few non-zeros per
+  row (<5% density), feasible by construction; the scale end of the
+  kernel micro-benchmark.
 """
 
 from __future__ import annotations

@@ -1,25 +1,23 @@
 """Bounded-variable revised simplex with a dual mode for warm re-solves.
 
-This is the second-generation LP kernel behind the built-in
-branch-and-bound solver.  Compared with the dense two-phase tableau of
-:mod:`repro.ilp.simplex` it changes three things that matter for the
-mapping workloads:
+This is the LP kernel behind the built-in branch-and-bound solver.
+Compared with the dense two-phase tableau of :mod:`repro.ilp.simplex`
+(kept as the tree's numerical safety net and the tests' LP oracle) it
+changes three things that matter for the mapping workloads:
 
 * **Bounds are native.**  Variables live in ``[lb, ub]`` inside the
   algorithm (nonbasic variables sit at one of their bounds), so finite
   upper bounds no longer inflate the row count — a 0/1 model with ``n``
   variables loses ``n`` constraint rows compared with the tableau, and
   every pivot works on the smaller system.
-* **The basis is a factorization, not a matrix.**  All basis solves go
-  through FTRAN/BTRAN against a factorization object plus a product-form
-  *eta file* of post-factorization pivots (:mod:`repro.ilp.lu`).  Small
-  bases keep the dense explicit-inverse representation (one NumPy
-  mat-vec beats any Python bookkeeping at ``m`` in the tens); larger
-  bases switch to a Markowitz-pivot sparse LU whose solves touch only
-  the structural non-zeros.  Refactorization is adaptive — triggered by
-  eta-file length, eta fill-in, or a sampled residual breach — and the
-  (basis, nonbasic-status) pair is exported as a :class:`BasisState`
-  that callers can hand to a later solve.
+* **The basis is an explicit inverse.**  FTRAN and BTRAN are one dense
+  mat-vec against ``B⁻¹``; each pivot applies a rank-1 update to it, and
+  the basis is refactorized from scratch (``np.linalg.inv``) every
+  ``refactor_interval`` pivots to bound numerical drift.  The paper's
+  mapping models have ``m`` in the tens, where one vectorised mat-vec
+  beats any sparse bookkeeping in Python.  The (basis, nonbasic-status)
+  pair is exported as a :class:`BasisState` that callers can hand to a
+  later solve.
 * **A dual simplex mode restores feasibility after bound changes.**
   Branch-and-bound children differ from their parent by a few tightened
   bounds: the parent's optimal basis stays *dual* feasible, so the child
@@ -45,21 +43,18 @@ all-slack basis and run a primal phase 1 (minimising the total bound
 violation of the basic variables with short-step blocking) followed by
 a primal phase 2.
 
-Pricing is selectable (``RevisedOptions.pricing``): classic full
-Dantzig scans or a primal *Devex* mode using reference-framework
-weights.  The dual loop
-has its own optional Devex row weighting (``dual_pricing``).  Every
-rule shares the Bland's-rule anti-cycling fallback after a stall, and
-post-optimality canonicalization always uses the full Dantzig scan so
-the returned vertex is identical across pricing rules and solve paths.
+Pricing is a full Dantzig scan (the primal loop) or the largest bound
+violation (the dual loop), with a Bland's-rule anti-cycling fallback
+after a stall.  Post-optimality canonicalization pins the returned
+vertex, so it is identical across solve paths.
 
 Warm solves (:meth:`RevisedSimplex.solve` with a ``basis``) install the
 supplied basis, repair dual feasibility by bound flips where possible,
 and run the bounded-variable dual simplex; any numerical trouble
 (singular basis, unrepairable dual infeasibility, stalling) falls back
 to the cold primal path rather than failing the solve.  Installing a
-basis factorizes it only the first time the engine sees it: every engine
-keeps a small LRU of pristine factorizations, keyed by the basis, with
+basis inverts it only the first time the engine sees it: every engine
+keeps a small LRU of pristine inverses, keyed by the basis, with
 the reduced costs the dual-feasibility check needs (they depend on the
 basis and ``c``, never on the bounds).  Branch-and-bound siblings share
 their parent's basis, so most warm starts install a cached copy and go
@@ -76,7 +71,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .lu import DenseFactors, factorize_markowitz
 from .solution import ERROR, INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from .standard_form import StandardForm
 
@@ -93,15 +87,11 @@ _PTOL = 1e-7
 #: dual feasibility tolerance used when accepting a warm basis
 _DTOL = 1e-7
 
-#: warm-start factorizations an engine keeps (least recently used goes
-#: first), and the stored floats (factor fill plus reduced costs) they
-#: may hold together, so a large dense ``B⁻¹`` cannot pin many copies.
+#: warm-start inverses an engine keeps (least recently used goes first),
+#: and the stored floats (``m²`` per inverse plus its reduced costs) they
+#: may hold together, so a large ``B⁻¹`` cannot pin many copies.
 _FACTOR_CACHE_ENTRIES = 32
 _FACTOR_CACHE_FLOATS = 1 << 20
-
-_FACTORIZATIONS = ("auto", "dense", "lu")
-_PRICINGS = ("dantzig", "devex")
-_DUAL_PRICINGS = ("violation", "devex")
 
 
 @dataclass
@@ -114,11 +104,8 @@ class RevisedOptions:
     #: improvement.
     stall_iterations: int = 200
     tolerance: float = 1e-9
-    #: hard cap on pivots (dense mode) / update etas (LU mode) between
-    #: refactorizations — the numerical-drift backstop the
-    #: refactorization-drift tests pin.  Adaptive triggers (fill-in,
-    #: residual breach) may refactorize sooner; this never lets the eta
-    #: file grow past the cap.
+    #: refactorize ``B⁻¹`` from scratch after this many rank-1 updates —
+    #: the numerical-drift backstop the refactorization-drift tests pin.
     refactor_interval: int = 64
     #: after optimality, pivot along the optimal face (zero-reduced-cost
     #: columns only — provably objective-preserving) to the vertex
@@ -127,35 +114,6 @@ class RevisedOptions:
     #: re-solve and a cold solve of the same node give byte-identical
     #: solutions — the property the warm-vs-cold fingerprint tests pin.
     canonicalize: bool = True
-    #: basis representation: ``"dense"`` keeps an explicit ``B⁻¹``
-    #: (fastest for tiny bases), ``"lu"`` a Markowitz sparse LU with a
-    #: product-form eta file (scales with non-zeros, not ``m²``), and
-    #: ``"auto"`` picks by row count against ``lu_threshold``.
-    factorization: str = "auto"
-    #: ``auto`` switches from dense to LU at this many rows — the
-    #: measured wall-clock crossover for sparse standard forms (below
-    #: it, one vectorised dense mat-vec still beats sparse
-    #: substitution; above it the O(m²) updates dominate).
-    lu_threshold: int = 500
-    #: primal entering-column rule: ``"dantzig"`` (full most-negative
-    #: scan) or ``"devex"`` (reference-framework weights).  Anti-cycling
-    #: and canonicalization behave identically under both rules.
-    pricing: str = "dantzig"
-    #: dual leaving-row rule for warm re-solves: ``"violation"``
-    #: (largest bound violation) or ``"devex"`` (violation² over
-    #: steepest-edge reference weights).
-    dual_pricing: str = "violation"
-    #: adaptive trigger — refactorize when the eta file's non-zeros
-    #: exceed this multiple of the base factorization's fill (LU mode).
-    refactor_fill_factor: float = 8.0
-    #: adaptive trigger — probe ``‖B·x − v‖`` on a sampled right-hand
-    #: side every this many etas and refactorize on a breach (LU mode;
-    #: ``0`` disables the probe).
-    residual_interval: int = 16
-    #: residual magnitude that counts as a breach.
-    residual_tol: float = 1e-6
-    #: Markowitz threshold-pivoting stability factor (LU mode).
-    markowitz_tol: float = 0.01
 
 
 @dataclass
@@ -213,21 +171,6 @@ class RevisedSimplex:
 
     def __init__(self, form: StandardForm, options: Optional[RevisedOptions] = None) -> None:
         self.options = options or RevisedOptions()
-        if self.options.factorization not in _FACTORIZATIONS:
-            raise ValueError(
-                f"unknown factorization {self.options.factorization!r} "
-                f"(expected one of {_FACTORIZATIONS})"
-            )
-        if self.options.pricing not in _PRICINGS:
-            raise ValueError(
-                f"unknown pricing rule {self.options.pricing!r} "
-                f"(expected one of {_PRICINGS})"
-            )
-        if self.options.dual_pricing not in _DUAL_PRICINGS:
-            raise ValueError(
-                f"unknown dual pricing rule {self.options.dual_pricing!r} "
-                f"(expected one of {_DUAL_PRICINGS})"
-            )
         self._A_ub_sparse = form.A_ub_sparse
         self._A_eq_sparse = form.A_eq_sparse
         self._c_structural = form.c
@@ -248,13 +191,6 @@ class RevisedSimplex:
         # strictly positive, strictly decreasing, no two subset sums
         # likely to tie on a face edge.
         self._secondary = 1.0 / (np.arange(self.total, dtype=np.float64) + 2.0)
-        # Dense B⁻¹ below the LU threshold, sparse LU above it.
-        if self.options.factorization == "auto":
-            self.mode = "lu" if self.m >= self.options.lu_threshold else "dense"
-        else:
-            self.mode = self.options.factorization
-        # Deterministic ±1 sampled right-hand side for the residual probe.
-        self._probe = np.where(np.arange(self.m) % 2 == 0, 1.0, -1.0)
         # ---- cumulative counters exposed for stats plumbing and tests
         self.refactorizations = 0
         self.refactor_triggers: Dict[str, int] = {}
@@ -262,29 +198,18 @@ class RevisedSimplex:
         self.warm_attempts = 0
         self.warm_accepted = 0
         self.warm_fallbacks = 0
-        self.etas_created = 0
-        self.etas_applied = 0
-        self.ftran_nnz = 0
-        self.btran_nnz = 0
         # ---- per-solve state (set up by _cold_start / _warm_start)
         self.basis = np.zeros(0, dtype=np.int64)
         self.status = np.zeros(0, dtype=np.int8)
         self.x_basic = np.zeros(0)
         self.lower = np.zeros(0)
         self.upper = np.zeros(0)
-        self._factor = None
-        self._etas: list = []
-        self._eta_nnz = 0
+        self._binv: Optional[np.ndarray] = None
         self._pivots_since_refactor = 0
         self._refactors_this_solve = 0
         self._solve_triggers: Dict[str, int] = {}
-        self._solve_etas_applied = 0
-        self._solve_ftran_nnz = 0
-        self._solve_btran_nnz = 0
-        self._devex_w: Optional[np.ndarray] = None
-        self._dual_w: Optional[np.ndarray] = None
-        # basis bytes -> (pristine factor, warm-start reduced costs, floats)
-        self._factor_cache: "OrderedDict[bytes, Tuple[Any, np.ndarray, int]]" = OrderedDict()
+        # basis bytes -> (pristine B⁻¹, warm-start reduced costs, floats)
+        self._factor_cache: "OrderedDict[bytes, Tuple[np.ndarray, np.ndarray, int]]" = OrderedDict()
         self._factor_cache_floats = 0
 
     def _build_csc(self, form: StandardForm) -> None:
@@ -375,62 +300,13 @@ class RevisedSimplex:
         return d
 
     # ---------------------------------------------------------- FTRAN / BTRAN
-    def _ftran(self, rhs: np.ndarray, count: bool = True) -> np.ndarray:
-        """Solve ``B x = rhs`` through the factorization plus the eta file."""
-        x = self._factor.ftran(rhs)
-        etas = self._etas
-        if etas:
-            for r, piv, rows, vals in etas:
-                xr = x[r]
-                if xr != 0.0:
-                    xr /= piv
-                    x[r] = xr
-                    if rows.size:
-                        x[rows] -= vals * xr
-            if count:
-                applied = len(etas)
-                self.etas_applied += applied
-                self._solve_etas_applied += applied
-        if count:
-            nnz = int(np.count_nonzero(x))
-            self.ftran_nnz += nnz
-            self._solve_ftran_nnz += nnz
-        return x
+    def _ftran(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``B x = rhs`` (returns a fresh array)."""
+        return self._binv @ rhs
 
-    def _btran(self, cb: np.ndarray, count: bool = True) -> np.ndarray:
-        """Solve ``Bᵀ y = cb`` through the eta file plus the factorization."""
-        etas = self._etas
-        if etas:
-            v = np.array(cb, dtype=np.float64, copy=True)
-            for r, piv, rows, vals in reversed(etas):
-                vr = v[r]
-                if rows.size:
-                    vr -= float(vals @ v[rows])
-                v[r] = vr / piv
-            if count:
-                applied = len(etas)
-                self.etas_applied += applied
-                self._solve_etas_applied += applied
-        else:
-            v = cb
-        y = self._factor.btran(v)
-        if count:
-            nnz = int(np.count_nonzero(y))
-            self.btran_nnz += nnz
-            self._solve_btran_nnz += nnz
-        return y
-
-    def _btran_unit(self, row: int) -> np.ndarray:
-        """Row ``row`` of ``B⁻¹`` (a BTRAN of the unit vector)."""
-        if not self._etas and self._factor.kind == "dense":
-            rho = self._factor.binv[row, :].copy()
-            nnz = int(np.count_nonzero(rho))
-            self.btran_nnz += nnz
-            self._solve_btran_nnz += nnz
-            return rho
-        e = np.zeros(self.m)
-        e[row] = 1.0
-        return self._btran(e)
+    def _btran(self, cb: np.ndarray) -> np.ndarray:
+        """Solve ``Bᵀ y = cb`` (returns a fresh array)."""
+        return cb @ self._binv
 
     def _ftran_column(self, j: int) -> np.ndarray:
         """``B⁻¹ W[:, j]`` — the entering column in basis coordinates."""
@@ -455,15 +331,14 @@ class RevisedSimplex:
         """``‖B·x − v‖_max`` for a sampled FTRAN solve (drift probe).
 
         The probe right-hand side is a fixed ±1 pattern, the solve goes
-        through the current factorization *and* eta file, and the
-        product ``B·x`` is accumulated column-sparsely — O(nnz) total,
-        never a dense rebuild.
+        through the current ``B⁻¹``, and the product ``B·x`` is
+        accumulated column-sparsely — never a dense rebuild.
         """
-        if self.m == 0 or self.basis.shape[0] != self.m or self._factor is None:
+        if self.m == 0 or self.basis.shape[0] != self.m or self._binv is None:
             return 0.0
-        x = self._ftran(self._probe, count=False)
-        residual = self._basis_matvec(x)
-        residual -= self._probe
+        probe = np.where(np.arange(self.m) % 2 == 0, 1.0, -1.0)
+        residual = self._basis_matvec(self._ftran(probe))
+        residual -= probe
         return float(np.max(np.abs(residual)))
 
     # ------------------------------------------------------------------ solve
@@ -485,11 +360,6 @@ class RevisedSimplex:
         """
         self._refactors_this_solve = 0
         self._solve_triggers = {}
-        self._solve_etas_applied = 0
-        self._solve_ftran_nnz = 0
-        self._solve_btran_nnz = 0
-        self._devex_w = None
-        self._dual_w = None
         self.lower = np.concatenate([np.asarray(lb, dtype=np.float64), self._slack_lower()])
         self.upper = np.concatenate([np.asarray(ub, dtype=np.float64), self._slack_upper()])
         if np.any(self.lower > self.upper + _PTOL):
@@ -568,35 +438,29 @@ class RevisedSimplex:
         self.x_basic = self._ftran(rhs)
 
     def _refactorize(self, trigger: str = "start") -> bool:
-        """Factorize the current basis from scratch; count by ``trigger``.
+        """Invert the current basis from scratch; count by ``trigger``.
 
-        On failure (singular basis) the previous factorization and eta
-        file — still a valid representation — are left installed.
+        On failure (singular basis) the previous inverse — still a valid
+        representation — is left installed.
         """
-        columns = [self._column(int(j)) for j in self.basis]
-        if self.mode == "dense":
-            matrix = np.zeros((self.m, self.m))
-            for k, (rows, vals) in enumerate(columns):
-                matrix[rows, k] = vals
-            factor = DenseFactors.from_matrix(matrix)
-        else:
-            factor = factorize_markowitz(
-                columns, self.m, self.options.markowitz_tol
-            )
-        if factor is None:
+        matrix = np.zeros((self.m, self.m))
+        for k, j in enumerate(self.basis):
+            rows, vals = self._column(int(j))
+            matrix[rows, k] = vals
+        try:
+            binv = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
             return False
-        self._install(factor, trigger)
+        self._install(binv, trigger)
         return True
 
-    def _install(self, factor, trigger: Optional[str]) -> None:
-        """Make ``factor`` the basis representation, with an empty eta file.
+    def _install(self, binv: np.ndarray, trigger: Optional[str]) -> None:
+        """Make ``binv`` the basis inverse.
 
-        A fresh factorization counts as a refactorization under
-        ``trigger``; a copy taken from the factor cache (``None``) does not.
+        A fresh inverse counts as a refactorization under ``trigger``; a
+        copy taken from the factor cache (``None``) does not.
         """
-        self._factor = factor
-        self._etas = []
-        self._eta_nnz = 0
+        self._binv = binv
         self._pivots_since_refactor = 0
         if trigger is None:
             return
@@ -606,13 +470,13 @@ class RevisedSimplex:
         self._solve_triggers[trigger] = self._solve_triggers.get(trigger, 0) + 1
 
     def _remember(self, key: bytes, d: np.ndarray) -> None:
-        """Cache the just-built pristine factor and ``d`` under ``key``."""
-        size = self._factor.nnz + d.size
+        """Cache the just-built pristine inverse and ``d`` under ``key``."""
+        size = self._binv.size + d.size
         if size > _FACTOR_CACHE_FLOATS:
             return
         d.flags.writeable = False
         cache = self._factor_cache
-        cache[key] = (self._factor.copy(), d, size)
+        cache[key] = (self._binv.copy(), d, size)
         self._factor_cache_floats += size
         while (len(cache) > _FACTOR_CACHE_ENTRIES
                or self._factor_cache_floats > _FACTOR_CACHE_FLOATS):
@@ -629,14 +493,8 @@ class RevisedSimplex:
         status[no_lower & ~has_upper] = FREE
         status[self.basis] = BASIC
         self.status = status
-        # The all-slack basis is the identity — no need to eliminate.
-        if self.mode == "dense":
-            factor = DenseFactors.identity(self.m)
-        else:
-            factor = factorize_markowitz(
-                [self._slack_columns[i] for i in range(self.m)], self.m
-            )
-        self._install(factor, "start")
+        # The all-slack basis is the identity — no need to invert.
+        self._install(np.eye(self.m), "start")
         self._recompute_basics()
 
     def _warm_start(self, state: BasisState) -> bool:
@@ -674,7 +532,7 @@ class RevisedSimplex:
         key = basis.tobytes()
         cached = self._factor_cache.get(key)
         if cached is None:
-            self._factor = None
+            self._binv = None
             if not self._refactorize():
                 return False
             y = self._btran(self.c[self.basis])
@@ -682,12 +540,11 @@ class RevisedSimplex:
             self._remember(key, d)
         else:
             # Seen before (a sibling of an earlier node): install a
-            # copy of the pristine factor — pivots update a dense B⁻¹ in
-            # place — and reuse the reduced costs; neither depends on the
-            # bounds.
+            # copy of the pristine inverse — pivots update B⁻¹ in place —
+            # and reuse the reduced costs; neither depends on the bounds.
             self._factor_cache.move_to_end(key)
-            factor, d, _ = cached
-            self._install(factor.copy(), None)
+            binv, d, _ = cached
+            self._install(binv.copy(), None)
         # Dual feasibility: repair by bound flips where a finite opposite
         # bound exists; give up (cold start) when it does not.
         movable = (self.upper - self.lower > self.options.tolerance) & (self.status != BASIC)
@@ -706,46 +563,22 @@ class RevisedSimplex:
 
     # ----------------------------------------------------------------- pivots
     def _pivot_update(self, row: int, alpha: np.ndarray) -> bool:
-        """Absorb the basis change of ``row`` into the factorization.
+        """Absorb the basis change of ``row`` into ``B⁻¹`` (rank-1 update).
 
-        Dense mode applies the classic rank-1 inverse update; LU mode
-        appends a product-form eta recording the (genuinely sparse)
-        entering column.  Either mode may then refactorize — on the
-        pivot/eta-count cap, on eta fill-in, or on a sampled residual
-        breach — in which case ``x_basic`` is recomputed exactly and
-        True is returned.
+        Every ``refactor_interval`` pivots the inverse is rebuilt from
+        scratch instead, in which case ``x_basic`` is recomputed exactly
+        and True is returned.
         """
-        opts = self.options
+        binv = self._binv
+        binv[row, :] /= alpha[row]
+        col = alpha.copy()
+        col[row] = 0.0
+        binv -= np.outer(col, binv[row, :])
         self._pivots_since_refactor += 1
-        if self.mode == "dense":
-            self._factor.update(row, alpha)
-            if self._pivots_since_refactor >= opts.refactor_interval:
-                if self._refactorize("interval"):
-                    self._recompute_basics()
-                    return True
-            return False
-        # LU mode: product-form update eta.  FTRAN through sparse LU
-        # leaves unreached entries exactly 0.0, so nonzero extraction
-        # recovers the true sparsity of the entering column.
-        rows = np.flatnonzero(alpha)
-        rows = rows[rows != row]
-        self._etas.append((int(row), float(alpha[row]), rows, alpha[rows]))
-        self._eta_nnz += rows.size + 1
-        self.etas_created += 1
-        trigger = None
-        if len(self._etas) >= opts.refactor_interval:
-            trigger = "interval"
-        elif self._eta_nnz > opts.refactor_fill_factor * max(self.m, self._factor.nnz):
-            trigger = "fill"
-        elif (
-            opts.residual_interval
-            and len(self._etas) % opts.residual_interval == 0
-            and self.factor_residual() > opts.residual_tol
-        ):
-            trigger = "residual"
-        if trigger is not None and self._refactorize(trigger):
-            self._recompute_basics()
-            return True
+        if self._pivots_since_refactor >= self.options.refactor_interval:
+            if self._refactorize("interval"):
+                self._recompute_basics()
+                return True
         return False
 
     # ----------------------------------------------------------------- primal
@@ -808,9 +641,7 @@ class RevisedSimplex:
         zero-reduced-cost column leaves every reduced cost unchanged.
         Minimising the fixed generic secondary objective over that face
         lands on one well-defined vertex no matter how the solve got to
-        optimality — warm dual path and cold primal path included.  The
-        face walk always uses the full Dantzig scan, so the vertex is
-        also independent of the configured pricing rule.
+        optimality — warm dual path and cold primal path included.
         """
         if not self.options.canonicalize:
             return 0
@@ -835,60 +666,26 @@ class RevisedSimplex:
         bland = False
         best = math.inf
         limit = opts.max_iterations if face_costs is None else 2 * self.total + 16
-        if opts.pricing == "devex" and face_costs is None:
-            self._devex_w = np.ones(self.total)
-        try:
-            while iterations < limit:
-                entering, direction = self._price(costs, bland, face_costs=face_costs)
-                if entering < 0:
-                    return "optimal", iterations
-                alpha = self._ftran_column(entering)
-                step, blocker, land_upper = self._ratio_test(entering, direction, alpha, bland)
-                if step is None:
-                    return "unbounded", iterations
-                if (
-                    self._devex_w is not None
-                    and face_costs is None
-                    and blocker != -1
-                ):
-                    self._devex_update(entering, blocker, alpha)
-                self._apply_step(entering, direction, alpha, step, blocker, land_upper)
-                iterations += 1
-                objective = float(costs @ self._current_values())
-                if objective < best - opts.tolerance:
-                    best = objective
-                    stall = 0
-                elif stall > opts.stall_iterations and not bland:
-                    bland = True
-                    self.bland_switches += 1
-                else:
-                    stall += 1
-            return "error", iterations
-        finally:
-            if face_costs is None:
-                self._devex_w = None
-
-    def _devex_update(self, entering: int, blocker: int, alpha: np.ndarray) -> None:
-        """Devex reference-weight update for the pivot about to happen.
-
-        Must run *before* the basis arrays change: it needs the leaving
-        variable at ``basis[blocker]`` and the pre-pivot ``B⁻¹``.
-        """
-        ar = alpha[blocker]
-        if abs(ar) <= 1e-12:
-            return
-        rho = self._btran_unit(blocker)
-        alpha_row = self._pi_row(rho)
-        wq = max(float(self._devex_w[entering]), 1.0)
-        candidate = (alpha_row / ar) ** 2 * wq
-        np.maximum(self._devex_w, candidate, out=self._devex_w)
-        leaving = int(self.basis[blocker])
-        self._devex_w[leaving] = max(wq / (ar * ar), 1.0)
-        self._devex_w[entering] = 1.0
-        if float(self._devex_w.max()) > 1e8:
-            # Reference-framework reset: weights have drifted too far to
-            # steer reliably; restart from the unit frame.
-            self._devex_w[:] = 1.0
+        while iterations < limit:
+            entering, direction = self._price(costs, bland, face_costs=face_costs)
+            if entering < 0:
+                return "optimal", iterations
+            alpha = self._ftran_column(entering)
+            step, blocker, land_upper = self._ratio_test(entering, direction, alpha, bland)
+            if step is None:
+                return "unbounded", iterations
+            self._apply_step(entering, direction, alpha, step, blocker, land_upper)
+            iterations += 1
+            objective = float(costs @ self._current_values())
+            if objective < best - opts.tolerance:
+                best = objective
+                stall = 0
+            elif stall > opts.stall_iterations and not bland:
+                bland = True
+                self.bland_switches += 1
+            else:
+                stall += 1
+        return "error", iterations
 
     def _price(
         self,
@@ -896,11 +693,11 @@ class RevisedSimplex:
         bland: bool,
         face_costs: Optional[np.ndarray] = None,
     ) -> Tuple[int, int]:
-        """Pick the entering column under the configured pricing rule.
+        """Pick the entering column: the most negative reduced cost
+        (Dantzig), or the lowest eligible index in Bland mode.
 
-        Bland mode and canonicalization face walks always run the full
-        scan (termination guarantee / path independence); otherwise the
-        rule is ``dantzig``, or ``devex`` when a weight frame is active.
+        ``face_costs`` restricts the scan to the optimal face of that
+        cost vector (the canonicalization walk).
         """
         tol = self.options.tolerance
         y = self._btran(costs[self.basis])
@@ -922,9 +719,6 @@ class RevisedSimplex:
             return -1, 0
         if bland:
             entering = int(eligible[0])
-        elif self._devex_w is not None and face_costs is None:
-            scores = d[eligible] ** 2 / self._devex_w[eligible]
-            entering = int(eligible[np.argmax(scores)])
         else:
             entering = int(eligible[np.argmax(np.abs(d[eligible]))])
         return entering, (1 if increase[entering] else -1)
@@ -1025,8 +819,6 @@ class RevisedSimplex:
         iterations = 0
         stall = 0
         bland = False
-        if opts.dual_pricing == "devex":
-            self._dual_w = np.ones(self.m)
         # The monotone quantity of the dual simplex is the objective
         # (nondecreasing every pivot); total primal violation may
         # oscillate on the way to feasibility, so stall detection keys
@@ -1059,14 +851,11 @@ class RevisedSimplex:
                     return "stalled", iterations
             if bland:
                 row = int(np.where(violation > _PTOL)[0][0])
-            elif self._dual_w is not None:
-                row = int(np.argmax(violation * violation / self._dual_w))
             else:
                 row = int(np.argmax(violation))
             leaving_below = bool(viol_low[row] >= viol_up[row])
 
-            rho = self._btran_unit(row)
-            alpha_row = self._pi_row(rho)
+            alpha_row = self._pi_row(self._binv[row])  # row ``row`` of B⁻¹W
             # sigma orients the row so eligible entering columns raise a
             # below-bound basic / lower an above-bound one.
             sigma = -1.0 if leaving_below else 1.0
@@ -1097,8 +886,6 @@ class RevisedSimplex:
             target = lowerB[row] if leaving_below else upperB[row]
             step = (self.x_basic[row] - target) / alpha_row[entering]
             alpha = self._ftran_column(entering)
-            if self._dual_w is not None:
-                self._dual_devex_update(row, alpha)
             if self.status[entering] == AT_LOWER:
                 value = self.lower[entering] + step
             elif self.status[entering] == AT_UPPER:
@@ -1115,28 +902,12 @@ class RevisedSimplex:
             iterations += 1
         return "stalled", iterations
 
-    def _dual_devex_update(self, row: int, alpha: np.ndarray) -> None:
-        """Dual Devex row-weight update from the entering column ``alpha``."""
-        ar = alpha[row]
-        if abs(ar) <= 1e-12:
-            return
-        candidate = (alpha / ar) ** 2 * self._dual_w[row]
-        np.maximum(self._dual_w, candidate, out=self._dual_w)
-        self._dual_w[row] = max(float(self._dual_w[row]) / (ar * ar), 1.0)
-        if float(self._dual_w.max()) > 1e8:
-            self._dual_w[:] = 1.0
-
     # ----------------------------------------------------------------- result
     def _result(self, status: str, iterations: int, warm: bool = False,
                 reused: bool = False) -> LpResult:
-        refactors = self._refactors_this_solve
         counters = dict(
-            refactorizations=refactors,
-            etas_applied=self._solve_etas_applied,
-            ftran_nnz=self._solve_ftran_nnz,
-            btran_nnz=self._solve_btran_nnz,
+            refactorizations=self._refactors_this_solve,
             refactor_triggers=dict(self._solve_triggers),
-            pricing=self.options.pricing,
         )
         if status != OPTIMAL:
             return LpResult(status, iterations=iterations, warm=warm,
@@ -1149,8 +920,7 @@ class RevisedSimplex:
         # bounds on either side).
         x = np.clip(x, lb, ub)
         # Structural reduced costs at the optimal basis: one extra BTRAN
-        # (after the counters snapshot, so per-solve accounting is not
-        # disturbed) buys branch-and-bound its reduced-cost penalties.
+        # buys branch-and-bound its reduced-cost penalties.
         y = self._btran(self.c[self.basis])
         reduced = self._reduced_costs(self.c, y)[: self.n].copy()
         return LpResult(

@@ -25,8 +25,8 @@ Implementation notes
   of the HPC Python guides.
 
 The branch-and-bound solver falls back to this engine when the revised
-kernel reports numerical trouble on a node, and runs on it outright under
-``lp_backend="simplex"``; the tests use it as the reference LP oracle.
+kernel reports numerical trouble on a node; the tests use it as the
+reference LP oracle.
 """
 
 from __future__ import annotations

@@ -39,18 +39,9 @@ class SolveStats:
     basis_reuses: int = 0
     #: basis refactorizations performed by the revised kernel.
     refactorizations: int = 0
-    #: product-form update etas applied across all FTRAN/BTRAN solves
-    #: (revised kernel, LU mode; each application is one eta transform).
-    etas_applied: int = 0
-    #: non-zeros produced by FTRAN solves (sparsity-of-work measure).
-    ftran_nnz: int = 0
-    #: non-zeros produced by BTRAN solves.
-    btran_nnz: int = 0
     #: refactorization counts keyed by what triggered them
-    #: ("start", "interval", "fill", "residual").
+    #: ("start", "interval").
     refactor_triggers: Dict[str, int] = field(default_factory=dict)
-    #: simplex pivots keyed by the pricing rule that chose them.
-    pricing_pivots: Dict[str, int] = field(default_factory=dict)
     incumbent_updates: int = 0
     #: incumbents found by the fast lane's Lagrangian-guided greedy.
     heuristic_incumbents: int = 0
@@ -73,11 +64,7 @@ class SolveStats:
             "warm_lp_solves": self.warm_lp_solves,
             "basis_reuses": self.basis_reuses,
             "refactorizations": self.refactorizations,
-            "etas_applied": self.etas_applied,
-            "ftran_nnz": self.ftran_nnz,
-            "btran_nnz": self.btran_nnz,
             "refactor_triggers": dict(self.refactor_triggers),
-            "pricing_pivots": dict(self.pricing_pivots),
             "incumbent_updates": self.incumbent_updates,
             "heuristic_incumbents": self.heuristic_incumbents,
             "best_bound": self.best_bound,
@@ -105,16 +92,8 @@ class LpResult:
     basis_reused: bool = False
     #: basis refactorizations this solve performed.
     refactorizations: int = 0
-    #: update etas applied across this solve's FTRAN/BTRAN calls.
-    etas_applied: int = 0
-    #: non-zeros produced by this solve's FTRAN calls.
-    ftran_nnz: int = 0
-    #: non-zeros produced by this solve's BTRAN calls.
-    btran_nnz: int = 0
     #: this solve's refactorizations keyed by trigger.
     refactor_triggers: Dict[str, int] = field(default_factory=dict)
-    #: pricing rule the solve ran under ("" for non-revised kernels).
-    pricing: str = ""
     #: structural reduced costs at the optimal basis (revised kernel
     #: only).  Branch-and-bound turns these into valid child-bound lifts
     #: (reduced-cost penalties) that prune children before any LP.

@@ -4,8 +4,7 @@
 top-level scripts, so they are loaded here by file path.  The benchmark
 is executed once in ``--quick`` mode (about a second of solver work) and
 the resulting document is held to the same schema the CI smoke job
-enforces, including the headline acceptance property: on the large
-sparse family the LU kernel runs on eta updates, not refactorizations.
+enforces.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ class TestQuickRun:
         rows = quick_payload["results"]
         assert quick_payload["num_points"] == len(rows)
         assert quick_payload["total_pivots"] == sum(r["pivots"] for r in rows)
-        assert quick_payload["total_etas_applied"] == \
-            sum(r["etas_applied"] for r in rows)
+        assert quick_payload["total_refactorizations"] == \
+            sum(r["refactorizations"] for r in rows)
         assert quick_payload["all_objectives_match"] is True
         assert all(r["objectives_match"] for r in rows)
 
@@ -54,24 +53,15 @@ class TestQuickRun:
         by_family = {}
         for row in quick_payload["results"]:
             by_family.setdefault(row["family"], set()).add(row["kernel"])
-        # Finite-lb fuzz families run all four kernels ...
-        assert by_family["feasible"] == {"tableau", "dense", "lu", "lu-devex"}
+        # Finite-lb fuzz families run both kernels ...
+        assert by_family["feasible"] == {"tableau", "dense"}
         # ... while infinite lower bounds and large sparse rows exclude
         # the tableau (outside its contract / quadratic in m).
         assert "tableau" not in by_family["mixed"]
         sparse = [f for f in by_family if f.startswith("large-sparse-")]
         assert sparse
         for family in sparse:
-            assert by_family[family] == {"dense", "lu", "lu-devex"}
-
-    def test_large_sparse_lu_runs_on_the_eta_file(self, quick_payload):
-        lu_rows = [r for r in quick_payload["results"]
-                   if r["family"].startswith("large-sparse-")
-                   and r["kernel"].startswith("lu")]
-        assert lu_rows
-        for row in lu_rows:
-            assert row["etas_applied"] > \
-                10 * max(1, row["refactorizations"]), row["label"]
+            assert by_family[family] == {"dense"}
 
     def test_artifact_round_trips_through_check_mode(
         self, quick_payload, tmp_path, capsys
@@ -92,10 +82,9 @@ def _minimal_kernel_doc(total_pivots):
         "num_points": 1,
         "wall_seconds": 0.5,
         "total_pivots": total_pivots,
-        "total_etas_applied": 10,
         "total_refactorizations": 1,
         "all_objectives_match": True,
-        "results": [{"label": "feasible/lu", "pivots": total_pivots,
+        "results": [{"label": "feasible/dense", "pivots": total_pivots,
                      "wall_seconds": 0.5}],
     }
 

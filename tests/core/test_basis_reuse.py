@@ -119,13 +119,13 @@ class TestContextCarriesTheBasis:
         model = self._model()
         context = SolveContext()
         first = BranchAndBoundSolver(
-            lp_backend="revised", context=context, **self._LP_FORCING
+            context=context, **self._LP_FORCING
         ).solve(model)
         assert first.is_optimal
         assert first.stats.lp_solves > 0
         assert context.warm_basis is not None
         second = BranchAndBoundSolver(
-            lp_backend="revised", context=context, fix_zero=[1],
+            context=context, fix_zero=[1],
             **self._LP_FORCING,
         ).solve(model)
         assert second.is_optimal
@@ -135,7 +135,7 @@ class TestContextCarriesTheBasis:
         model = self._model()
         context = SolveContext()
         BranchAndBoundSolver(
-            lp_backend="revised", context=context, **self._LP_FORCING
+            context=context, **self._LP_FORCING
         ).solve(model)
         assert context.warm_basis is not None
 
@@ -153,7 +153,7 @@ class TestContextCarriesTheBasis:
         model = self._model()
         context = SolveContext()
         BranchAndBoundSolver(
-            lp_backend="revised", context=context, **self._LP_FORCING
+            context=context, **self._LP_FORCING
         ).solve(model)
 
         from repro.ilp import Model, quicksum
@@ -164,6 +164,6 @@ class TestContextCarriesTheBasis:
         other.set_objective(quicksum(float(i) * v for i, v in enumerate(y)))
         chained = SolveContext.from_chain_dict(context.chain_dict())
         solution = BranchAndBoundSolver(
-            lp_backend="revised", context=chained
+            context=chained
         ).solve(other)
         assert solution.is_optimal

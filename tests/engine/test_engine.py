@@ -74,6 +74,47 @@ class TestSerialExecution:
         assert complete.objective == pytest.approx(pipeline.objective, rel=1e-3)
 
 
+#: Solver options of LP kernels, pricing rules and branching modes that no
+#: longer exist; clients built against an older release may still send them.
+REMOVED_KNOBS = [
+    ("lp_pricing", "devex"),
+    ("lp_factorization", "lu"),
+    ("lp_backend", "simplex"),
+    ("branching", "variable"),
+]
+
+
+class TestRemovedSolverKnobs:
+    @pytest.mark.parametrize("option, value", REMOVED_KNOBS)
+    def test_removed_knob_is_dropped_and_changes_nothing(self, option, value):
+        from repro.ilp import Model, create_solver, quicksum
+
+        model = Model("assign")
+        cost = [[3, 1, 4], [2, 5, 1], [6, 2, 3], [1, 1, 9]]
+        z = [[model.add_binary(f"z[{i},{j}]") for j in range(3)] for i in range(4)]
+        for row in z:
+            model.add_constraint(quicksum(row) == 1)
+            model.add_sos1(row)
+        for j in range(3):
+            model.add_constraint(quicksum(row[j] for row in z) <= 2)
+        model.set_objective(quicksum(c * v for crow, row in zip(cost, z)
+                                     for c, v in zip(crow, row)))
+        default = create_solver("bnb-pure").solve(model)
+        old = create_solver("bnb-pure", **{option: value}).solve(model)
+        assert old.objective == default.objective
+        assert old.values.tobytes() == default.values.tobytes()
+
+        def job(**options):
+            return MappingJob(board=virtex_board("XCV1000"),
+                              design=fir_filter_design(), solver="bnb-pure",
+                              solver_options=options)
+
+        default_job, old_job = MappingEngine(jobs=1).run([job(), job(**{option: value})])
+        assert old_job.status == STATUS_OK, old_job.error
+        assert old_job.objective == default_job.objective
+        assert old_job.fingerprint == default_job.fingerprint
+
+
 class TestParallelExecution:
     def test_parallel_results_identical_to_serial(self):
         serial = MappingEngine(jobs=1).run(small_batch())

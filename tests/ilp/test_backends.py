@@ -55,7 +55,6 @@ class TestRegistry:
         for name in (None, "auto", "bnb", "bnb-pure"):
             solver = create_solver(name)
             assert isinstance(solver, BranchAndBoundSolver)
-            assert solver.options.lp_backend == "revised"
         if highs_available():
             assert isinstance(create_solver("scipy-milp"), ScipyMilpSolver)
 

@@ -18,6 +18,7 @@ from repro.ilp import (
     BranchAndBoundSolver,
     Model,
     ModelError,
+    RevisedOptions,
     ScipyMilpSolver,
     create_solver,
     highs_available,
@@ -37,8 +38,12 @@ def knapsack_model(values, weights, capacity):
     return m, xs
 
 
-def assignment_model(cost, capacity):
-    """Min-cost assignment of items to bins with per-bin item capacity."""
+def assignment_model(cost, capacity, sos=True):
+    """Min-cost assignment of items to bins with per-bin item capacity.
+
+    ``sos`` declares each item's row as an SOS-1 group (what steers the
+    tree to SOS branching); without it the tree branches on variables.
+    """
     m = Model("assign")
     n_items, n_bins = len(cost), len(cost[0])
     z = {}
@@ -46,7 +51,8 @@ def assignment_model(cost, capacity):
         row = [m.add_binary(f"z[{i},{j}]") for j in range(n_bins)]
         z[i] = row
         m.add_constraint(quicksum(row) == 1)
-        m.add_sos1(row)
+        if sos:
+            m.add_sos1(row)
     for j in range(n_bins):
         m.add_constraint(quicksum(z[i][j] for i in range(n_items)) <= capacity[j])
     m.set_objective(
@@ -282,9 +288,22 @@ class TestKnapsackAndBasics:
 
     def test_pure_simplex_backend_matches(self):
         m, _ = knapsack_model([10, 13, 7, 8], [5, 6, 3, 4], 10)
-        solution = BranchAndBoundSolver(lp_backend="simplex").solve(m)
+        solution = create_solver("simplex").solve(m)  # the bnb-pure alias
         assert solution.is_optimal
         assert solution.objective == pytest.approx(-21.0)
+
+    def test_revised_kernel_errors_fall_back_to_the_tableau(self):
+        m, _ = knapsack_model([10, 13, 7, 8], [5, 6, 3, 4], 10)
+        # No pivot budget: every revised solve reports an error, so each
+        # node LP is re-solved by the dense tableau (and counted twice).
+        broken = RevisedOptions(max_iterations=0)
+        solution = BranchAndBoundSolver(revised_options=broken,
+                                        root_heuristic=False).solve(m)
+        assert solution.is_optimal
+        assert solution.objective == pytest.approx(-21.0)
+        assert solution.stats.lp_solves > 0
+        assert solution.stats.lp_solves % 2 == 0
+        assert solution.stats.warm_lp_solves == 0
 
     def test_all_items_fit(self):
         m, xs = knapsack_model([1, 2, 3], [1, 1, 1], 10)
@@ -340,20 +359,17 @@ class TestSosBranching:
     def test_assignment_with_sos_branching(self):
         cost = [[3, 1, 4], [2, 5, 1], [6, 2, 3], [1, 1, 9]]
         m, _ = assignment_model(cost, capacity=[2, 2, 2])
-        solution = BranchAndBoundSolver(branching="sos1").solve(m)
+        solution = BranchAndBoundSolver().solve(m)
         assert solution.is_optimal
         assert solution.objective == pytest.approx(5.0)
 
     def test_variable_branching_same_optimum(self):
         cost = [[3, 1, 4], [2, 5, 1], [6, 2, 3], [1, 1, 9]]
-        m, _ = assignment_model(cost, capacity=[2, 2, 2])
-        solution = BranchAndBoundSolver(branching="variable").solve(m)
+        m, _ = assignment_model(cost, capacity=[2, 2, 2], sos=False)
+        assert not m.sos1_groups
+        solution = BranchAndBoundSolver().solve(m)
+        assert solution.is_optimal
         assert solution.objective == pytest.approx(5.0)
-
-    def test_sos_branching_without_groups_raises(self):
-        m, _ = knapsack_model([1, 2], [1, 1], 1)
-        with pytest.raises(ModelError):
-            BranchAndBoundSolver(branching="sos1").solve(m)
 
     def test_tight_capacity_forces_spread(self):
         cost = [[1, 10], [1, 10], [1, 10]]
@@ -396,11 +412,6 @@ class TestLimitsAndWarmStart:
         with pytest.raises(ModelError):
             BranchAndBoundSolver(warm_start=np.zeros(5)).solve(m)
 
-    def test_unknown_lp_backend_rejected(self):
-        m, _ = knapsack_model([1, 2], [1, 1], 1)
-        for name in ("quantum", "auto", "highs"):
-            with pytest.raises(ModelError):
-                BranchAndBoundSolver(lp_backend=name).solve(m)
 
 
 class TestCreateSolver:
@@ -409,13 +420,9 @@ class TestCreateSolver:
         assert isinstance(create_solver("auto"), BranchAndBoundSolver)
 
     def test_pure_factory_forces_revised(self):
-        solver = create_solver("bnb-pure")
-        assert solver.options.lp_backend == "revised"
-
-    def test_simplex_kernel_is_an_option_not_a_backend(self):
-        assert BranchAndBoundSolver().options.lp_backend == "revised"
-        solver = create_solver("bnb-pure", lp_backend="simplex")
-        assert solver.options.lp_backend == "simplex"
+        m, _ = knapsack_model([10, 13, 7, 8], [5, 6, 3, 4], 10)
+        solution = create_solver("bnb-pure").solve(m)
+        assert solution.stats.backend == "bnb+revised"
         with pytest.raises(ModelError):
             create_solver("bnb-tableau")
 
@@ -435,6 +442,11 @@ class TestCreateSolver:
         ("heuristic_seed", 7),
         ("node_rounding", False),
         ("log", True),
+        ("lp_backend", "simplex"),
+        ("simplex_options", None),
+        ("lp_pricing", "devex"),
+        ("lp_factorization", "lu"),
+        ("branching", "variable"),
     ])
     def test_removed_options_are_rejected(self, option, value):
         with pytest.raises(TypeError):

@@ -141,3 +141,31 @@ class TestChainDict:
         ctx.note_assignment({"a": "t0"})
         clone = SolveContext.from_dict(ctx.as_dict())
         assert clone.seed_assignment == {"a": "t0"}
+
+
+class TestOldDocuments:
+    def test_documents_carrying_removed_counters_still_load(self):
+        """Documents written when the LP kernel still counted eta-file and
+        FTRAN/BTRAN work load unchanged; the stale counters are ignored."""
+        from repro.explore import ExplorePointResult
+
+        m, _ = assignment_model([[3, 1], [2, 5]], [2, 2])
+        ctx = SolveContext()
+        BranchAndBoundSolver(context=ctx).solve(m)
+        stale = {"etas_applied": 41, "ftran_nnz": 900, "btran_nnz": 800}
+        document = ctx.as_dict()
+        document["summary"] = {**document["summary"], **stale}
+        assert SolveContext.from_dict(document).summary() == ctx.summary()
+        chain = {**ctx.chain_dict(), **stale}
+        assert SolveContext.from_chain_dict(chain).chain_dict() == ctx.chain_dict()
+
+        point = ExplorePointResult(
+            label="p0", family="fir", params={"taps": 8}, chain=0, step=0,
+            status="ok", objective=3.0, lp_solves=4, refactorizations=2,
+            solve_stats={"lp_solves": 4},
+        )
+        old = {**point.to_dict(), "etas_applied": 41}
+        old["solve_stats"] = {**old["solve_stats"], **stale}
+        loaded = ExplorePointResult.from_dict(old)
+        assert loaded.to_dict() == {**point.to_dict(),
+                                    "solve_stats": old["solve_stats"]}

@@ -23,6 +23,7 @@ from repro.ilp import (
     solve_lp_revised,
     to_standard_form,
 )
+from repro.ilp.instances import large_sparse_lp
 from repro.ilp.scipy_backend import solve_lp_highs
 
 
@@ -127,6 +128,13 @@ class TestRefactorizationDrift:
         # the inverse honest instead of letting rank-1 updates drift.
         assert engine.factor_residual() < 1e-8
 
+    def test_interval_cap_fires_the_interval_trigger(self):
+        form = large_sparse_lp(31, m=100, n=120)
+        result = solve_lp_revised(form, RevisedOptions(refactor_interval=16))
+        assert result.status == "optimal"
+        assert result.iterations > 16
+        assert result.refactor_triggers.get("interval", 0) >= 1
+
     def test_drift_matches_the_never_refactorize_objective(self):
         form = self._long_pivot_lp(seed=11)
         frequent = solve_lp_revised(form, RevisedOptions(refactor_interval=2))
@@ -195,6 +203,21 @@ class TestBasisState:
         clone = BasisState.from_dict(state.as_dict())
         assert np.array_equal(clone.basis, state.basis)
         assert np.array_equal(clone.status, state.status)
+
+    def test_round_trip_state_warm_starts_like_cold(self):
+        form = large_sparse_lp(41, m=100, n=120)
+        engine = RevisedSimplex(form)
+        first = engine.solve(form.lb, form.ub)
+        assert first.status == "optimal"
+        clone = BasisState.from_dict(first.basis.as_dict())
+        ub2 = form.ub.copy()
+        ub2[:5] = np.maximum(form.lb[:5], first.x[:5] * 0.5)
+        warm = engine.solve(form.lb, ub2, basis=clone)
+        cold = engine.solve(form.lb, ub2)
+        assert warm.status == cold.status == "optimal"
+        assert warm.basis_reused is True
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+        np.testing.assert_allclose(warm.x, cold.x, atol=1e-6)
 
     def test_mismatched_basis_silently_cold_starts(self):
         form = degenerate_transportation_lp()
@@ -285,18 +308,16 @@ def _fingerprint(result):
     )
 
 
-@pytest.mark.parametrize("factorization", ["dense", "lu"])
 class TestFactorCache:
-    def test_siblings_match_fresh_engines_byte_for_byte(self, factorization):
+    def test_siblings_match_fresh_engines_byte_for_byte(self):
         form, bins = weighted_assignment_relaxation()
-        options = RevisedOptions(factorization=factorization)
-        engine = RevisedSimplex(form, options)
+        engine = RevisedSimplex(form)
         parent = engine.solve(form.lb, form.ub)
         box_a, box_b = sibling_boxes(form, bins)[:2]
         results = [engine.solve(*box, basis=parent.basis)
                    for box in (box_a, box_b, box_a)]
         for box, result in zip((box_a, box_b, box_a), results):
-            fresh = RevisedSimplex(form, options).solve(*box, basis=parent.basis)
+            fresh = RevisedSimplex(form).solve(*box, basis=parent.basis)
             assert result.warm and fresh.warm
             assert result.iterations > 0  # the siblings really pivot
             assert _fingerprint(result) == _fingerprint(fresh)
@@ -307,19 +328,18 @@ class TestFactorCache:
         assert "start" not in results[1].refactor_triggers
         assert "start" not in results[2].refactor_triggers
 
-    def test_cache_never_exceeds_its_cap(self, factorization, monkeypatch):
+    def test_cache_never_exceeds_its_cap(self, monkeypatch):
         from repro.ilp import revised_simplex
 
         monkeypatch.setattr(revised_simplex, "_FACTOR_CACHE_ENTRIES", 2)
         form, bins = weighted_assignment_relaxation()
-        options = RevisedOptions(factorization=factorization)
-        scout = RevisedSimplex(form, options)
+        scout = RevisedSimplex(form)
         parent = scout.solve(form.lb, form.ub)
         bases = [parent.basis] + [
             scout.solve(*box, basis=parent.basis).basis
             for box in sibling_boxes(form, bins)
         ]
-        engine = RevisedSimplex(form, options)
+        engine = RevisedSimplex(form)
         keys = []
         for basis in bases:
             for box in sibling_boxes(form, bins, item=1):
@@ -331,7 +351,7 @@ class TestFactorCache:
         recent = list(dict.fromkeys(reversed(keys)))[:2]
         assert list(engine._factor_cache) == recent[::-1]
         # The float budget bounds the cache as well.
-        engine = RevisedSimplex(form, options)
+        engine = RevisedSimplex(form)
         engine.solve(*sibling_boxes(form, bins, item=2)[0], basis=bases[0])
         budget = engine._factor_cache_floats
         monkeypatch.setattr(revised_simplex, "_FACTOR_CACHE_FLOATS", budget)
@@ -347,12 +367,12 @@ class TestFactorCache:
 class TestCachedInverseIsPristine:
     def test_later_pivots_never_touch_a_cached_inverse(self):
         form, bins = weighted_assignment_relaxation()
-        engine = RevisedSimplex(form, RevisedOptions(factorization="dense"))
+        engine = RevisedSimplex(form)
         parent = engine.solve(form.lb, form.ub)
         boxes = sibling_boxes(form, bins)
         engine.solve(*boxes[0], basis=parent.basis)
-        ((key, (factor, d, _)),) = engine._factor_cache.items()
-        snapshot = factor.binv.copy()
+        ((key, (binv, d, _)),) = engine._factor_cache.items()
+        snapshot = binv.copy()
         # The basis matrix [A | I] restricted to the cached basis.
         W = np.hstack([np.vstack([form.A_ub, form.A_eq]), np.eye(engine.m)])
         B = W[:, np.frombuffer(key, dtype=np.int64)]
@@ -360,7 +380,7 @@ class TestCachedInverseIsPristine:
         pivots = 0
         for box in boxes[1:] + boxes[:1]:
             pivots += engine.solve(*box, basis=parent.basis).iterations
-            assert engine._factor is not factor
+            assert engine._binv is not binv
         assert pivots > 0  # the installed copies were updated in place
-        assert np.array_equal(factor.binv, snapshot)
+        assert np.array_equal(binv, snapshot)
         assert not d.flags.writeable
